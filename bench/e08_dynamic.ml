@@ -3,12 +3,11 @@
    update should grow polylogarithmically, and queries answered mid-
    stream stay correct and cheap. *)
 
+module Clock = Topk_util.Clock
 module Rng = Topk_util.Rng
 module I = Topk_interval.Interval
 module Inst = Topk_interval.Instances
 module Dyn = Topk_interval.Instances.Dyn_topk
-
-let now () = Unix.gettimeofday ()
 
 let random_interval rng id =
   let lo = Rng.uniform rng in
@@ -29,23 +28,23 @@ let run () =
             Dyn.build ~params:(Inst.params ()) [||])
       in
       (* Insert n elements, then a mixed churn phase. *)
-      let t0 = now () in
+      let t0 = Clock.now () in
       let live = ref [] in
       for i = 1 to n do
         let e = random_interval rng i in
         live := e :: !live;
         Dyn.insert s e
       done;
-      let insert_us = (now () -. t0) *. 1e6 /. float_of_int n in
+      let insert_us = (Clock.now () -. t0) *. 1e6 /. float_of_int n in
       let live_arr = Array.of_list !live in
       let churn = max 100 (n / 4) in
-      let t1 = now () in
+      let t1 = Clock.now () in
       for i = 1 to churn do
         if i mod 2 = 0 then
           Dyn.insert s (random_interval rng (n + i))
         else Dyn.delete s live_arr.(Rng.int rng n)
       done;
-      let churn_us = (now () -. t1) *. 1e6 /. float_of_int churn in
+      let churn_us = (Clock.now () -. t1) *. 1e6 /. float_of_int churn in
       let queries = Workloads.stab_queries ~seed:n ~n:50 in
       let q_ios =
         Workloads.per_query_ios (fun q -> ignore (Dyn.query s q ~k:10)) queries
@@ -82,14 +81,14 @@ let run () =
             Topk_range.Instances.Dyn_topk.build
               ~params:(Topk_range.Instances.params ()) [||])
       in
-      let t0 = now () in
+      let t0 = Clock.now () in
       for i = 1 to n do
         Topk_range.Instances.Dyn_topk.insert s
           (Topk_range.Wpoint.make ~id:i ~pos:(Rng.uniform rng)
              ~weight:(float_of_int i +. Rng.float rng 0.4)
              ())
       done;
-      let insert_us = (now () -. t0) *. 1e6 /. float_of_int n in
+      let insert_us = (Clock.now () -. t0) *. 1e6 /. float_of_int n in
       let queries =
         Array.init 50 (fun _ ->
             let a = Rng.uniform rng and b = Rng.uniform rng in

@@ -29,6 +29,7 @@
      slices can smear across neighbouring passes, so read it as an
      estimate.) *)
 
+module Clock = Topk_util.Clock
 module Rng = Topk_util.Rng
 module Gen = Topk_util.Gen
 module Interval = Topk_interval.Interval
@@ -48,9 +49,9 @@ let random_queries ~seed ~n =
   Gen.stab_queries rng ~n
 
 let time_batch f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   f ();
-  Unix.gettimeofday () -. t0
+  Clock.now () -. t0
 
 let median l =
   let s = List.sort Float.compare l in

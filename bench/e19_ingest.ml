@@ -18,13 +18,12 @@
    the per-update figure includes compaction — the number the
    Dynamic cost model certifies. *)
 
+module Clock = Topk_util.Clock
 module Rng = Topk_util.Rng
 module I = Topk_interval.Interval
 module Inst = Topk_interval.Instances
 module Ing = Topk_ingest.Ingest.Make (Inst.Topk_t2)
 module Stats = Topk_em.Stats
-
-let now () = Unix.gettimeofday ()
 
 let random_interval rng id =
   let lo = Rng.uniform rng in
@@ -37,7 +36,7 @@ let random_interval rng id =
    return (us/op, ios/op) with compaction included. *)
 let churn rng t ~first_id ~updates =
   let live = ref [] and n_live = ref 0 in
-  let t0 = now () in
+  let t0 = Clock.now () in
   let (), cost =
     Stats.measure (fun () ->
         for i = 1 to updates do
@@ -57,7 +56,7 @@ let churn rng t ~first_id ~updates =
           end
         done)
   in
-  let us = (now () -. t0) *. 1e6 /. float_of_int updates in
+  let us = (Clock.now () -. t0) *. 1e6 /. float_of_int updates in
   (us, float_of_int cost.Stats.ios /. float_of_int updates)
 
 let run () =

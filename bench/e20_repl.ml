@@ -16,14 +16,13 @@
      under drop + reorder + delay, at the price of more duplicate
      frames when a loss rewinds the cursor. *)
 
+module Clock = Topk_util.Clock
 module Rng = Topk_util.Rng
 module I = Topk_interval.Interval
 module Inst = Topk_interval.Instances
 module G = Topk_repl.Group.Make (Inst.Topk_t2)
 module Transport = Topk_repl.Transport
 module Metrics = Topk_service.Metrics
-
-let now () = Unix.gettimeofday ()
 
 let random_interval rng id =
   let lo = Rng.uniform rng in
@@ -69,9 +68,9 @@ let run () =
               (fun q -> ignore (G.read g q ~k:10))
               queries
           in
-          let t0 = now () in
+          let t0 = Clock.now () in
           Array.iter (fun q -> ignore (G.read g q ~k:10)) queries;
-          let us = (now () -. t0) *. 1e6 /. float_of_int (Array.length queries) in
+          let us = (Clock.now () -. t0) *. 1e6 /. float_of_int (Array.length queries) in
           let shipped = Metrics.Counter.get metrics.Metrics.repl_frames_shipped in
           rows :=
             [ Table.fi replicas;

@@ -23,6 +23,7 @@
    makespan); both runs of a configuration replay the identical
    seeded schedule. *)
 
+module Clock = Topk_util.Clock
 module Rng = Topk_util.Rng
 module I = Topk_interval.Interval
 module Inst = Topk_interval.Instances
@@ -87,8 +88,8 @@ let run_pass ~unified ~n ~rounds ~qpr ~upr ~storm ~storm_ms ~seed =
   let t = Ing.create ~params:(Inst.params ()) ~buffer_cap:128 ~pool base in
   let next_id = ref (n + 1) in
   let spin () =
-    let stop = Unix.gettimeofday () +. (storm_ms /. 1e3) in
-    while Unix.gettimeofday () < stop do
+    let stop = Clock.now () +. (storm_ms /. 1e3) in
+    while Clock.now () < stop do
       ignore (Sys.opaque_identity ())
     done
   in

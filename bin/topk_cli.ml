@@ -11,6 +11,7 @@
      topk sample-check -n 100000 -k 1000 --delta 0.1 --trials 500 *)
 
 open Cmdliner
+module Clock = Topk_util.Clock
 
 (* --- argument validation ---
 
@@ -427,14 +428,14 @@ let serve_bench_cmd =
               (Svc.Registry.h_exec itv_h stabs.(i) ~k ~budget:None
                  ~deadline:None)
         in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         let (), seq =
           Stats.measure (fun () ->
               for i = 0 to queries - 1 do
                 run_one i
               done)
         in
-        let seq_elapsed = Unix.gettimeofday () -. t0 in
+        let seq_elapsed = Clock.now () -. t0 in
         Printf.printf "\nsequential: %d queries in %.3fs (%.0f qps), %s\n%!"
           queries seq_elapsed
           (float_of_int queries /. Float.max 1e-9 seq_elapsed)
@@ -455,7 +456,7 @@ let serve_bench_cmd =
             (fun h -> Svc.Client.attach client (Svc.Client.pooled pool h))
             range_h
         in
-        let t1 = Unix.gettimeofday () in
+        let t1 = Clock.now () in
         let futures =
           List.init queries (fun i ->
               if mixed && i land 1 = 1 then
@@ -469,7 +470,7 @@ let serve_bench_cmd =
                 fun () -> ignore (Svc.Future.await fut))
         in
         List.iter (fun wait -> wait ()) futures;
-        let elapsed = Unix.gettimeofday () -. t1 in
+        let elapsed = Clock.now () -. t1 in
         let par = Svc.Executor.aggregate_stats pool in
         Printf.printf "concurrent: %d queries in %.3fs (%.0f qps)\n"
           queries elapsed
@@ -651,7 +652,7 @@ let chaos_bench_cmd =
               }
             ()
         in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         let classify i status answers =
           match status with
           | Svc.Response.Failed _ -> `Failed
@@ -696,15 +697,15 @@ let chaos_bench_cmd =
             | `Failed -> incr failed
             | `Mismatch -> incr mismatched)
           futures;
-        let elapsed = Unix.gettimeofday () -. t0 in
+        let elapsed = Clock.now () -. t0 in
         Svc.Executor.drain pool;
         (* Wait (bounded) for the respawn to be recorded. *)
         let m = Svc.Executor.metrics pool in
         if not no_kill then begin
-          let deadline = Unix.gettimeofday () +. 5. in
+          let deadline = Clock.now () +. 5. in
           while
             Svc.Metrics.Counter.get m.Svc.Metrics.respawns = 0
-            && Unix.gettimeofday () < deadline
+            && Clock.now () < deadline
           do
             Unix.sleepf 0.005
           done
@@ -862,7 +863,7 @@ let shard_bench_cmd =
         let registry = Svc.Registry.create () in
         let sc = Scatter.create pool registry ~name:"intervals" set in
         Stats.reset_all ();
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         let par_mismatch = ref 0
         and par_pruned = ref 0
         and fanout = ref 0
@@ -878,7 +879,7 @@ let shard_bench_cmd =
             fanout := !fanout + r.Scatter.fanout;
             total := Stats.add !total r.Scatter.cost)
           stabs;
-        let elapsed = Unix.gettimeofday () -. t0 in
+        let elapsed = Clock.now () -. t0 in
         Svc.Executor.drain pool;
         let agg = Stats.aggregate () in
         Printf.printf
@@ -1303,7 +1304,7 @@ let ingest_bench_cmd =
         in
         (* The measured stream: interleave queries with updates, kill a
            merge worker a third of the way in. *)
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         let per_query = max 1 (updates / queries) in
         let issued = ref 0 in
         for u = 1 to updates do
@@ -1320,17 +1321,17 @@ let ingest_bench_cmd =
           do_query ()
         done;
         if not !fitted then fit_model ();
-        let elapsed = Unix.gettimeofday () -. t0 in
+        let elapsed = Clock.now () -. t0 in
         (* Settle: seal the tail of the log, drain compaction, and
            re-check a final batch of queries on the frozen structure. *)
         Ing.freeze t;
         for _ = 1 to 16 do do_query () done;
         Svc.Executor.drain pool;
         if not no_kill then begin
-          let deadline = Unix.gettimeofday () +. 5. in
+          let deadline = Clock.now () +. 5. in
           while
             Svc.Metrics.Counter.get metrics.Svc.Metrics.respawns = 0
-            && Unix.gettimeofday () < deadline
+            && Clock.now () < deadline
           do
             Unix.sleepf 0.005
           done
@@ -2626,8 +2627,8 @@ let sched_bench_cmd =
                 ans
           in
           let spin () =
-            let stop = Unix.gettimeofday () +. (storm_ms /. 1e3) in
-            while Unix.gettimeofday () < stop do
+            let stop = Clock.now () +. (storm_ms /. 1e3) in
+            while Clock.now () < stop do
               ignore (Sys.opaque_identity ())
             done
           in

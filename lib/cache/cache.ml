@@ -285,8 +285,6 @@ let length t =
       acc + Mutex.protect s.s_mutex (fun () -> Hashtbl.length s.s_tbl))
     0 t.stripes
 
-let stripe_count t = Array.length t.stripes
-
 let min_cost t = t.min_cost
 
 let stats t =
@@ -304,10 +302,3 @@ let hit_rate t =
   let st = stats t in
   let looked = st.st_hits + st.st_misses + st.st_stale in
   if looked = 0 then 0. else float_of_int st.st_hits /. float_of_int looked
-
-let pp_stats ppf st =
-  Format.fprintf ppf
-    "@[<h>hits=%d misses=%d stale=%d admits=%d bypasses=%d evictions=%d \
-     entries=%d@]"
-    st.st_hits st.st_misses st.st_stale st.st_admits st.st_bypasses
-    st.st_evictions st.st_entries

@@ -106,8 +106,6 @@ val clear : 'v t -> unit
 
 val length : 'v t -> int
 
-val stripe_count : 'v t -> int
-
 val min_cost : 'v t -> int
 
 type stats = {
@@ -124,5 +122,3 @@ val stats : 'v t -> stats
 
 val hit_rate : 'v t -> float
 (** Hits over all lookups (stale lookups count as misses). *)
-
-val pp_stats : Format.formatter -> stats -> unit

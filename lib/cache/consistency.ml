@@ -13,8 +13,7 @@ let validate = function
         (Printf.sprintf "Consistency: Max_lag must be >= 0 (got %d)" l)
   | At_least _ | Pinned _ | Max_lag _ -> ()
 
-(* The one staleness rule shared by the answer cache and (through
-   [min_seq]/[max_lag]) the replication router.  A cached entry
+(* The staleness rule of the answer cache.  A cached entry
    computed at [entry] may serve a read whose live version is
    [current] only within the same term — a failover may have truncated
    history, so cross-term sequences are incomparable — and never from
@@ -38,18 +37,6 @@ let admits ~current ~entry t =
   | At_least s -> Version.seq entry >= s
   | Pinned p -> Version.seq entry = p
   | Max_lag l -> Version.seq current - Version.seq entry <= l
-
-(* Router projections: the weakest per-replica admission constraints
-   implied by the level.  [Pinned] routes to a node that has at least
-   reached the pin; serving the exact snapshot is the cache's job. *)
-let min_seq = function
-  | Any | Max_lag _ -> 0
-  | At_least s -> s
-  | Pinned p -> p
-
-let max_lag = function
-  | Any | At_least _ | Pinned _ -> None
-  | Max_lag l -> Some l
 
 let to_string = function
   | Any -> "any"

@@ -5,8 +5,8 @@
     arguments, epoch pins were ad-hoc [view] plumbing, and the answer
     cache needed its own staleness rule.  Every query entry point
     ({!Topk_service.Client}, [Scatter.query], [Group.read]) now takes
-    one [Consistency.t], and the cache and the router interpret it
-    through {!admits}, {!min_seq} and {!max_lag}. *)
+    one [Consistency.t]: the cache interprets it through {!admits},
+    the replication router per candidate replica. *)
 
 type t =
   | Any
@@ -32,12 +32,6 @@ val admits : current:Version.t -> entry:Version.t -> t -> bool
 (** May an answer computed at [entry] serve a read issued when the
     live version is [current]?  Never across terms, never from the
     future; see the per-constructor documentation for the rest. *)
-
-val min_seq : t -> int
-(** The router's per-replica floor implied by this level. *)
-
-val max_lag : t -> int option
-(** The router's staleness bound implied by this level. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

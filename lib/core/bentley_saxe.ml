@@ -54,8 +54,6 @@ module Make (S : Sigs.PRIORITIZED) = struct
     fill t elems;
     t
 
-  let of_elements = build
-
   let live_elements t =
     let acc = ref [] in
     Array.iter
@@ -130,11 +128,6 @@ module Make (S : Sigs.PRIORITIZED) = struct
   let live t = t.live_count
 
   let rebuilds t = t.rebuild_count
-
-  let bucket_count t =
-    Array.fold_left
-      (fun acc -> function Some _ -> acc + 1 | None -> acc)
-      0 t.buckets
 
   let space_words t =
     Array.fold_left

@@ -16,14 +16,9 @@
 module Make (S : Sigs.PRIORITIZED) : sig
   include Sigs.DYNAMIC_PRIORITIZED with module P = S.P
 
-  val of_elements : ?params:Params.t -> P.elem array -> t
-  (** Alias of [build]. *)
-
   val live : t -> int
   (** Elements currently stored (i.e. not tombstoned). *)
 
   val rebuilds : t -> int
   (** Global rebuilds triggered by deletions so far. *)
-
-  val bucket_count : t -> int
 end

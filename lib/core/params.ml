@@ -24,7 +24,3 @@ let default =
     max_sample_retries = 20;
     seed = 42;
   }
-
-let with_costs ?q_pri ?q_max t =
-  let t = match q_pri with Some f -> { t with q_pri = f } | None -> t in
-  match q_max with Some f -> { t with q_max = f } | None -> t

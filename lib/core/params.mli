@@ -29,8 +29,6 @@ val default : t
 (** [lambda = 2.], [q_pri = q_max = log2], [sigma = 1/20],
     [coreset_scale = 1.], [max_sample_retries = 20], [seed = 42]. *)
 
-val with_costs : ?q_pri:(int -> float) -> ?q_max:(int -> float) -> t -> t
-
 val log2 : int -> float
 (** [log2 n] as a float, at least 1. *)
 

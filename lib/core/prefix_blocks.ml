@@ -48,7 +48,5 @@ let query_prefix t m =
   in
   go [] 0
 
-let iter_all t f = Array.iter (fun lvl -> Array.iter f lvl) t.levels
-
 let fold_all t ~init ~f =
   Array.fold_left (fun acc lvl -> Array.fold_left f acc lvl) init t.levels

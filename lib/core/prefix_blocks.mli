@@ -29,6 +29,4 @@ val query_prefix : 's t -> int -> 's list
 (** [query_prefix t m] is the [O(log n)] sub-structures whose blocks
     partition [[0, min m n)], charged one I/O each for the lookup. *)
 
-val iter_all : 's t -> ('s -> unit) -> unit
-
 val fold_all : 's t -> init:'acc -> f:('acc -> 's -> 'acc) -> 'acc

@@ -7,6 +7,7 @@ let min_p ~k ~delta =
     invalid_arg "Rank_sampling.min_p: delta must be in (0,1)";
   min 1. (3. *. log (3. /. delta) /. float_of_int k)
 
+(* The rank [ceil (2 k p)] that Lemma 1 inspects in the sample. *)
 let sample_rank ~k ~p =
   int_of_float (ceil (2. *. float_of_int k *. p))
 
@@ -15,12 +16,6 @@ type outcome =
   | Too_few_samples
   | Rank_too_low
   | Rank_too_high
-
-let pp_outcome ppf = function
-  | Ok_rank -> Format.pp_print_string ppf "ok"
-  | Too_few_samples -> Format.pp_print_string ppf "too-few-samples"
-  | Rank_too_low -> Format.pp_print_string ppf "rank-too-low"
-  | Rank_too_high -> Format.pp_print_string ppf "rank-too-high"
 
 let rank_of ~cmp arr x =
   let greater = ref 0 in

@@ -17,16 +17,11 @@ val min_p : k:int -> delta:float -> float
 (** The smallest sampling probability satisfying Lemma 1's working
     condition [k * p >= 3 ln(3 / delta)], clamped to [<= 1]. *)
 
-val sample_rank : k:int -> p:float -> int
-(** The rank [ceil (2 k p)] that Lemma 1 inspects in the sample. *)
-
 type outcome =
   | Ok_rank          (** both bullets of the lemma hold *)
   | Too_few_samples  (** first bullet failed ([|R|] too small / empty) *)
   | Rank_too_low     (** witnessed rank [< k] (Lemma 1) / [<= K] (3) *)
   | Rank_too_high    (** witnessed rank [> 4k] resp. [> 4K] *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
 
 val lemma1_trial :
   Topk_util.Rng.t -> cmp:('a -> 'a -> int) -> k:int -> p:float ->

@@ -17,7 +17,6 @@ struct
   type t = {
     root : node option;
     elems : P.elem array;  (* weight descending, for the k = Omega(n) scan *)
-    mutable probe_count : int;
   }
 
   let name = "rj-counting(" ^ S.name ^ "+" ^ C.name ^ ")"
@@ -43,7 +42,7 @@ struct
       if Array.length sorted = 0 then None
       else Some (build_node ?params sorted 0 (Array.length sorted))
     in
-    { root; elems = sorted; probe_count = 0 }
+    { root; elems = sorted }
 
   let size t = Array.length t.elems
 
@@ -57,10 +56,7 @@ struct
     Array.length t.elems
     + match t.root with None -> 0 | Some root -> node_words root
 
-  let counting_queries t = t.probe_count
-
-  let count t node q =
-    t.probe_count <- t.probe_count + 1;
+  let count node q =
     match node with
     | Leaf e -> if P.matches q e then 1 else 0
     | Node { counter; _ } -> C.count counter q
@@ -83,7 +79,7 @@ struct
           let n = Array.length t.elems in
           if 2 * k >= n then scan_filter_top ~k q t.elems
           else begin
-            let total = count t root q in
+            let total = count root q in
             if total <= k then begin
               (* Everything matching is wanted: one full report. *)
               let got =
@@ -119,7 +115,7 @@ struct
                       acc := e :: !acc
                     end
                 | Node { left; right; _ } ->
-                    let cl = count t left q in
+                    let cl = count left q in
                     if cl >= remaining then descend left remaining
                     else begin
                       report left;

@@ -18,9 +18,5 @@
     built from; experiment E7b compares it against Theorems 1-2, whose
     entire point is removing the [log n] factors it carries. *)
 
-module Make (S : Sigs.PRIORITIZED) (C : Sigs.COUNTING with module P = S.P) : sig
-  include Sigs.TOPK with module P = S.P
-
-  val counting_queries : t -> int
-  (** Counting probes across all queries so far. *)
-end
+module Make (S : Sigs.PRIORITIZED) (C : Sigs.COUNTING with module P = S.P) :
+  Sigs.TOPK with module P = S.P

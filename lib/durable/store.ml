@@ -1,6 +1,7 @@
 (* Durable ingestion store — see store.mli. *)
 
 module Metrics = Topk_service.Metrics
+module Clock = Topk_util.Clock
 module Executor = Topk_service.Executor
 module Lane = Topk_service.Lane
 module Ing = Topk_ingest.Ingest
@@ -215,6 +216,7 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
 
   let create ?params ?buffer_cap ?fanout ?pool ?metrics ?(mode = Sync)
       ?(checkpoint_every = 4) ~dir elems =
+    let metrics = Executor.resolve_metrics ?metrics pool in
     let t = mk_state ~dir ~mode ~checkpoint_every ~metrics ~pool in
     Disk.mkdir_p dir;
     let sink = if mode = Volatile then None else Some (mk_sink t) in
@@ -230,7 +232,8 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
 
   let recover ?params ?buffer_cap ?fanout ?pool ?metrics ?(mode = Sync)
       ?(checkpoint_every = 4) ~dir () =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
+    let metrics = Executor.resolve_metrics ?metrics pool in
     let count_m f = count metrics f in
     (* Newest valid root wins; invalid roots (a checkpoint died before
        its snapshot, bit rot on the manifest, …) count and fall back. *)
@@ -283,7 +286,7 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
         (match metrics with
         | Some m ->
             Metrics.Histogram.observe m.Metrics.recovery_time_us
-              (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
+              (int_of_float ((Clock.now () -. t0) *. 1e6))
         | None -> ());
         Some t
 

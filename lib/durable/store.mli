@@ -77,6 +77,8 @@ module Make (T : Topk_core.Sigs.TOPK) : sig
       sweep of superseded generations onto the pool's [Maintenance]
       lane — safe because the new root is durably published before
       the sweep is scheduled; without a pool the sweep runs inline.
+      [metrics] (WAL, checkpoint and ingest counters) defaults to the
+      pool's, as in {!Topk_ingest.Ingest.Make.create}.
       @raise Invalid_argument on a bad [mode]/[checkpoint_every] or
       ingest parameter. *)
 
@@ -97,7 +99,7 @@ module Make (T : Topk_core.Sigs.TOPK) : sig
       checkpoint under the new generation.  [None] when no valid root
       exists (the store never finished {!create}, or every root is
       corrupt).  Counts [recoveries] and observes [recovery_time_us]
-      on the given [metrics]. *)
+      on [metrics], which (as in {!create}) defaults to the pool's. *)
 
   val index : t -> I.t
   (** The live index — query/pin/register it freely.  Update it

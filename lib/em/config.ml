@@ -3,16 +3,13 @@ type mode = Ram | Em
 type t = {
   mode : mode;
   b : int;
-  m : int;
 }
 
-let ram = { mode = Ram; b = 1; m = 2 }
+let ram = { mode = Ram; b = 1 }
 
-let em ?m ~b () =
+let em ~b () =
   if b < 2 then invalid_arg "Config.em: block size must be >= 2";
-  let m = match m with Some m -> m | None -> 32 * b in
-  if m < 2 * b then invalid_arg "Config.em: memory must be >= 2 * b";
-  { mode = Em; b; m }
+  { mode = Em; b }
 
 let default = em ~b:64 ()
 
@@ -32,4 +29,4 @@ let blocks_of_words c w = if w <= 0 then 0 else (w + c.b - 1) / c.b
 let pp ppf c =
   match c.mode with
   | Ram -> Format.fprintf ppf "RAM"
-  | Em -> Format.fprintf ppf "EM(B=%d, M=%d)" c.b c.m
+  | Em -> Format.fprintf ppf "EM(B=%d)" c.b

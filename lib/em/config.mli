@@ -1,8 +1,10 @@
 (** Parameters of the external-memory (EM) model of Aggarwal and Vitter,
-    as fixed in Section 1.1 of the paper: a machine with [m] words of
-    memory and a disk formatted into blocks of [b] words each, with
-    [m >= 2 * b].  Setting [b] to a small constant recovers the RAM
-    model, in which every structure of this library also works. *)
+    as fixed in Section 1.1 of the paper: a disk formatted into blocks
+    of [b] words each.  Every bound is charged analytically in blocks
+    (see {!Stats}), so the memory size [M] of the model never enters a
+    cost and is not represented.  Setting [b] to a small constant
+    recovers the RAM model, in which every structure of this library
+    also works. *)
 
 type mode =
   | Ram  (** RAM model: [b] is a small constant, I/Os are word probes. *)
@@ -11,16 +13,14 @@ type mode =
 type t = private {
   mode : mode;
   b : int;  (** block size in words; the paper assumes [b >= 64] in EM *)
-  m : int;  (** memory size in words; [m >= 2 * b] *)
 }
 
 val ram : t
-(** The RAM model: [b = 1], [m = 2]. *)
+(** The RAM model: [b = 1]. *)
 
-val em : ?m:int -> b:int -> unit -> t
-(** [em ~b ()] is the EM model with block size [b] (must be [>= 2]) and
-    memory [m] (defaults to [32 * b]).  Raises [Invalid_argument] if
-    [b < 2] or [m < 2 * b]. *)
+val em : b:int -> unit -> t
+(** [em ~b ()] is the EM model with block size [b] (must be [>= 2]).
+    Raises [Invalid_argument] if [b < 2]. *)
 
 val default : t
 (** EM with [b = 64], the paper's minimum block size. *)

@@ -9,19 +9,16 @@
    per-domain counters in {!Stats} ([charge_fault] / [charge_spike]).
 
    Hooked into {!Stats.io_fault_hook}, so {e every} charged block I/O
-   — cache misses, direct [charge_ios] node visits, scans crossing a
-   block boundary — can raise a transient [Em_fault] or stall in a
-   simulated latency spike, whichever structure charged it; and from
-   {!Io_array.get} / {!Io_array.iter_range} (per-element probes, off by
-   default).  The fast path — no plan installed — is a single atomic
-   load. *)
+   — direct [charge_ios] node visits, scans crossing a block boundary —
+   can raise a transient [Em_fault] or stall in a simulated latency
+   spike, whichever structure charged it.  The fast path — no plan
+   installed — is a single atomic load. *)
 
 exception Em_fault of string
 
 type plan = {
   seed : int;
   io_fault_rate : float;
-  access_fault_rate : float;
   latency_rate : float;
   latency_s : float;
   max_faults : int option;
@@ -31,10 +28,9 @@ let check_rate name r =
   if not (r >= 0. && r <= 1.) then
     invalid_arg (Printf.sprintf "Fault.plan: %s must be in [0,1] (got %g)" name r)
 
-let plan ?(io_fault_rate = 0.05) ?(access_fault_rate = 0.)
-    ?(latency_rate = 0.) ?(latency_s = 1e-4) ?max_faults ~seed () =
+let plan ?(io_fault_rate = 0.05) ?(latency_rate = 0.) ?(latency_s = 1e-4)
+    ?max_faults ~seed () =
   check_rate "io_fault_rate" io_fault_rate;
-  check_rate "access_fault_rate" access_fault_rate;
   check_rate "latency_rate" latency_rate;
   if latency_s < 0. then
     invalid_arg
@@ -44,8 +40,7 @@ let plan ?(io_fault_rate = 0.05) ?(access_fault_rate = 0.)
       invalid_arg
         (Printf.sprintf "Fault.plan: max_faults must be >= 0 (got %d)" m)
   | _ -> ());
-  { seed; io_fault_rate; access_fault_rate; latency_rate; latency_s;
-    max_faults }
+  { seed; io_fault_rate; latency_rate; latency_s; max_faults }
 
 (* The installed plan, tagged with an epoch so per-domain streams
    reseed whenever a plan is (re)installed. *)
@@ -102,8 +97,8 @@ let local (e, p) =
 
 let busy_wait s =
   if s > 0. then begin
-    let until = Unix.gettimeofday () +. s in
-    while Unix.gettimeofday () < until do
+    let until = Topk_util.Clock.now () +. s in
+    while Topk_util.Clock.now () < until do
       Domain.cpu_relax ()
     done
   end
@@ -120,8 +115,8 @@ let maybe_fault p d rate what =
     raise (Em_fault what)
   end
 
-(* Hook for {!Lru_cache.access} on a block-fetch miss: a latency spike
-   and/or a transient fault, in that order. *)
+(* Hook for one charged block I/O: a latency spike and/or a transient
+   fault, in that order. *)
 let tick_io () =
   match Atomic.get current with
   | None -> ()
@@ -133,20 +128,9 @@ let tick_io () =
       end;
       maybe_fault p d p.io_fault_rate "transient block I/O fault"
 
-(* Hook for {!Io_array} element probes. *)
-let tick_access () =
-  match Atomic.get current with
-  | None -> ()
-  | Some ((_, p) as cur) ->
-      if p.access_fault_rate > 0. then
-        maybe_fault p (local cur) p.access_fault_rate
-          "transient block access fault"
-
 (* Install the forward hook in {!Stats}: every charged block I/O —
-   whether from a cache miss, a direct [charge_ios] (tree node visits)
-   or a scan crossing a block boundary — draws from the plan once per
-   I/O.  This is the universal fetch point: structures that never go
-   through {!Lru_cache} still face the fault model. *)
+   a direct [charge_ios] (tree node visits) or a scan crossing a block
+   boundary — draws from the plan once per I/O. *)
 let () = Stats.io_fault_hook := fun n -> for _ = 1 to n do tick_io () done
 
 let injected_total () = Stats.faults_total ()
@@ -155,8 +139,8 @@ let spikes_total () = Stats.spikes_total ()
 
 let pp_plan ppf p =
   Format.fprintf ppf
-    "@[<h>fault-plan{seed=%d io=%.3g access=%.3g latency=%.3g/%.0fus%s}@]"
-    p.seed p.io_fault_rate p.access_fault_rate p.latency_rate
+    "@[<h>fault-plan{seed=%d io=%.3g latency=%.3g/%.0fus%s}@]"
+    p.seed p.io_fault_rate p.latency_rate
     (p.latency_s *. 1e6)
     (match p.max_faults with
     | None -> ""

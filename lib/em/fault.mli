@@ -3,9 +3,8 @@
     Real external-memory systems must stay correct when a block fetch
     fails or stalls.  This module gives the simulated EM layer the same
     adversary: an installed {!plan} makes {e every charged block I/O}
-    (via {!Stats.io_fault_hook} — cache-miss fetches, direct
-    {!Stats.charge_ios} node visits, scans crossing a block boundary)
-    and, optionally, every {!Io_array} element probe inject transient
+    (via {!Stats.io_fault_hook} — direct {!Stats.charge_ios} node
+    visits, scans crossing a block boundary) inject transient
     {!Em_fault} exceptions and simulated latency spikes, with seeded
     per-domain randomness so a chaos run is reproducible.
 
@@ -31,16 +30,14 @@ exception Em_fault of string
 
 type plan = {
   seed : int;                (** root seed of the per-domain streams *)
-  io_fault_rate : float;     (** P(transient fault) per block-fetch miss *)
-  access_fault_rate : float; (** P(transient fault) per element probe *)
-  latency_rate : float;      (** P(latency spike) per block-fetch miss *)
+  io_fault_rate : float;     (** P(transient fault) per charged block I/O *)
+  latency_rate : float;      (** P(latency spike) per charged block I/O *)
   latency_s : float;         (** spike duration, seconds *)
   max_faults : int option;   (** stop injecting after this many, globally *)
 }
 
 val plan :
   ?io_fault_rate:float ->
-  ?access_fault_rate:float ->
   ?latency_rate:float ->
   ?latency_s:float ->
   ?max_faults:int ->
@@ -48,8 +45,7 @@ val plan :
   unit ->
   plan
 (** Build a plan.  Defaults: [io_fault_rate = 0.05],
-    [access_fault_rate = 0], [latency_rate = 0], [latency_s = 100us],
-    no fault cap.
+    [latency_rate = 0], [latency_s = 100us], no fault cap.
     @raise Invalid_argument if a rate is outside [[0,1]], [latency_s]
     is negative, or [max_faults] is negative. *)
 
@@ -74,13 +70,9 @@ val tick_io : unit -> unit
 (** Consulted once per charged block I/O — this module installs itself
     into {!Stats.io_fault_hook} at link time, so every
     {!Stats.charge_ios} / {!Stats.charge_scan} that charges at least
-    one I/O (cache-miss fetches included) draws from the plan.  May
-    stall for a simulated latency spike and may raise {!Em_fault}. *)
-
-val tick_access : unit -> unit
-(** Consulted by {!Io_array.get} / {!Io_array.iter_range} on each
-    element probe.  May raise {!Em_fault} (only when
-    [access_fault_rate > 0]). *)
+    one I/O draws from the plan.  May stall for a simulated latency
+    spike (busy-waiting on {!Topk_util.Clock}) and may raise
+    {!Em_fault}. *)
 
 (** {1 Counters} *)
 

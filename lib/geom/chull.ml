@@ -57,8 +57,6 @@ let is_empty t = Array.length t.ring = 0
 
 let ring t = t.ring
 
-let vertex_count t = Array.length t.ring
-
 let space_words t =
   Array.length t.ring + Array.length t.lower + Array.length t.upper
 

@@ -23,8 +23,6 @@ val ring : t -> Point2.t array
 (** The hull vertices in counterclockwise order (empty for an empty
     input; a single vertex for degenerate inputs). *)
 
-val vertex_count : t -> int
-
 val extreme : t -> dir:float * float -> (int * Point2.t) option
 (** [extreme t ~dir] is the ring index and vertex maximizing the dot
     product with [dir], found by binary search on the hull chains in

@@ -4,11 +4,9 @@
 
     [dist(x, q) <= r  <=>  2 q . x - |x|^2 >= |q|^2 - r^2]. *)
 
-val lift_point : Pointd.t -> Pointd.t
-(** Same weight and id, one extra coordinate [|x|^2]. *)
-
 val lift_points : Pointd.t array -> Pointd.t array
+(** Same weights and ids, one extra coordinate [|x|^2] each. *)
 
 val lift_ball : Predicates.Ball.t -> Predicates.Halfspace.t
 (** The halfspace in [R^(d+1)] equivalent to the ball under
-    {!lift_point}. *)
+    {!lift_points}. *)

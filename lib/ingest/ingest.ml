@@ -12,7 +12,7 @@ module Metrics = Topk_service.Metrics
 module Future = Topk_service.Future
 module Response = Topk_service.Response
 module Gather = Topk_shard.Gather
-module Delta = Topk_shard.Delta
+module Clock = Topk_util.Clock
 module Log = Update_log
 
 let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: r -> drop (n - 1) r
@@ -165,12 +165,7 @@ module Make (T : Sigs.TOPK) = struct
     if fanout < 2 then
       invalid_arg
         (Printf.sprintf "Ingest.create: fanout must be >= 2 (got %d)" fanout);
-    let metrics =
-      match (metrics, pool) with
-      | (Some _ as m), _ -> m
-      | None, Some p -> Some (Executor.metrics p)
-      | None, None -> None
-    in
+    let metrics = Executor.resolve_metrics ?metrics pool in
     let elems = Array.copy elems in
     let base =
       mk_run ?params
@@ -225,12 +220,7 @@ module Make (T : Sigs.TOPK) = struct
                "Ingest.restore: run seq %d is not below next_seq %d" rd.rd_seq
                next_seq))
       runs;
-    let metrics =
-      match (metrics, pool) with
-      | (Some _ as m), _ -> m
-      | None, Some p -> Some (Executor.metrics p)
-      | None, None -> None
-    in
+    let metrics = Executor.resolve_metrics ?metrics pool in
     let rebuild rd =
       let dead = Hashtbl.create (max 1 (Array.length rd.rd_dead)) in
       Array.iter (fun i -> Hashtbl.replace dead i ()) rd.rd_dead;
@@ -425,7 +415,7 @@ module Make (T : Sigs.TOPK) = struct
                 if t.merge_gen = gen then t.pending <- Some fut))
 
   and run_merge t job =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     let merged =
       Tr.with_span "ingest.merge"
         ~attrs:
@@ -445,7 +435,7 @@ module Make (T : Sigs.TOPK) = struct
           (match t.metrics with
           | Some m ->
               Metrics.Histogram.observe m.Metrics.merge_latency_us
-                (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
+                (int_of_float ((Clock.now () -. t0) *. 1e6))
           | None -> ());
           update_lag t;
           emit_locked t Merged;
@@ -735,18 +725,9 @@ module Make (T : Sigs.TOPK) = struct
 
   let last_seq t = Mutex.protect t.mu (fun () -> t.seq - 1)
 
-  let run_datas t = Mutex.protect t.mu (fun () -> run_datas_locked t)
-
-  let log_entries t = Mutex.protect t.mu (fun () -> log_entries_locked t)
-
-  let durable_state t =
-    Mutex.protect t.mu (fun () -> (run_datas_locked t, log_entries_locked t))
-
   let with_durable_state t f =
     Mutex.protect t.mu (fun () ->
         f ~runs:(run_datas_locked t) ~log:(log_entries_locked t))
-
-  let name_of t = t.name
 
   let update_ops t =
     {
@@ -775,65 +756,4 @@ module Make (T : Sigs.TOPK) = struct
 
   let register registry ~name t =
     Registry.register ~update:(update_ops t) registry ~name (module Topk) t
-
-  (* A per-shard pending-update view over everything newer than the
-     base run, for the scatter/planner delta path.  Built from a
-     pinned view: valid while the view stays pinned. *)
-  let delta_of_view w =
-    match List.rev w.w_runs with
-    | [] -> Delta.none ()
-    | _base :: above_rev ->
-        let above = List.rev above_rev in  (* newest first, base dropped *)
-        let latest = Log.replay ~id:P.id w.w_log w.w_log_len in
-        let killed = Hashtbl.create 64 in
-        let override = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun i _ ->
-            Hashtbl.replace killed i ();
-            Hashtbl.replace override i ())
-          latest;
-        let buffered =
-          ref
-            (Hashtbl.fold
-               (fun _ v acc -> match v with Some e -> e :: acc | None -> acc)
-               latest [])
-        in
-        List.iter
-          (fun r ->
-            Array.iter
-              (fun e ->
-                let i = P.id e in
-                if not (Hashtbl.mem killed i) then buffered := e :: !buffered;
-                Hashtbl.replace killed i ();
-                Hashtbl.replace override i ())
-              r.r_elems;
-            Hashtbl.iter
-              (fun i () ->
-                Hashtbl.replace killed i ();
-                Hashtbl.replace override i ())
-              r.r_dead)
-          above;
-        let buffered = !buffered in
-        let n_buffered = List.length buffered in
-        Stats.charge_scan (w.w_log_len + n_buffered);
-        {
-          Delta.d_bound =
-            (fun q ->
-              Stats.charge_scan n_buffered;
-              List.fold_left
-                (fun acc e ->
-                  if P.matches q e then
-                    Some
-                      (match acc with
-                      | None -> P.weight e
-                      | Some w0 -> Float.max w0 (P.weight e))
-                  else acc)
-                None buffered);
-          d_topk =
-            (fun q ~k ->
-              Stats.charge_scan n_buffered;
-              W.top_k k (List.filter (P.matches q) buffered));
-          d_dead = (fun e -> Hashtbl.mem override (P.id e));
-          d_dead_count = Hashtbl.length override;
-        }
 end

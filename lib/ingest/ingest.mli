@@ -180,11 +180,6 @@ module Make (T : Topk_core.Sigs.TOPK) : sig
       with module P = P
        and type t = t
 
-  val delta_of_view : view -> (P.query, P.elem) Topk_shard.Delta.t
-  (** The pending-update view (everything newer than the base run) as
-      a {!Topk_shard.Delta} for the scatter/planner delta path.  Valid
-      while the view stays pinned; build it fresh per query. *)
-
   (** {1 Introspection} *)
 
   val size : t -> int
@@ -205,40 +200,24 @@ module Make (T : Topk_core.Sigs.TOPK) : sig
   (** The newest op sequence number assigned so far ([0] before the
       first update). *)
 
-  val run_datas : t -> P.elem run_data list
-  (** Portable descriptions of the current level set, newest first —
-      what an initial durable checkpoint serializes. *)
-
-  val log_entries : t -> P.elem Update_log.entry list
-  (** The unsealed log suffix at this moment, oldest first. *)
-
-  val durable_state : t -> P.elem run_data list * P.elem Update_log.entry list
-  (** {!run_datas} and {!log_entries} captured under one lock hold — a
-      consistent cut even against a concurrent writer ({!run_datas}
-      then {!log_entries} as two calls could lose a seal that lands
-      between them).  The cut is only guaranteed fresh at the instant
-      the lock is released; to {e act} on it atomically, use
-      {!with_durable_state}. *)
-
   val with_durable_state :
     t ->
     (runs:P.elem run_data list -> log:P.elem Update_log.entry list -> 'a) ->
     'a
-  (** Run [f] over the {!durable_state} cut while {e still holding}
-      the wrapper's mutex: no update is accepted and no {!sink} event
-      fires until [f] returns.  This is what a manual durable
-      checkpoint needs — capturing the cut and committing it must be
-      one critical section, or a concurrent writer could append to a
-      WAL segment the checkpoint is about to retire (losing an acked
-      update), and a sink-driven checkpoint could be overwritten by a
-      staler manual capture.  [f] must not call back into this
-      wrapper. *)
+  (** Run [f] over a consistent cut of the durable state — the current
+      level set as {!run_data}s (newest first) and the unsealed log
+      suffix (oldest first) — while {e still holding} the wrapper's
+      mutex: no update is accepted and no {!sink} event fires until
+      [f] returns.  This is what a manual durable checkpoint needs —
+      capturing the cut and committing it must be one critical
+      section, or a concurrent writer could append to a WAL segment
+      the checkpoint is about to retire (losing an acked update), and
+      a sink-driven checkpoint could be overwritten by a staler manual
+      capture.  [f] must not call back into this wrapper. *)
 
   val frozen : t -> bool
   val wedged : t -> bool
   (** A background merge failed permanently (retries exhausted or the
       pool shut down): compaction is parked, serving continues on the
       last published epoch. *)
-
-  val name_of : t -> string
 end

@@ -49,8 +49,5 @@ val replay : id:('e -> int) -> 'e entry array -> int -> (int, 'e option) Hashtbl
     [Some e] for a live (re)insert, [None] for a delete.  The caller
     charges the EM scan. *)
 
-val pp_entry :
-  (Format.formatter -> 'e -> unit) -> Format.formatter -> 'e entry -> unit
-(** Deterministic textual replay form: [+e@seq] / [-e@seq]. *)
-
 val pp : (Format.formatter -> 'e -> unit) -> Format.formatter -> 'e t -> unit
+(** Deterministic textual replay form: [+e@seq] / [-e@seq] per entry. *)

@@ -33,7 +33,6 @@ module Dyn_pri : sig
      and type P.query = float
   val live : t -> int
   val rebuilds : t -> int
-  val bucket_count : t -> int
 end
 
 (** The dynamic form of Theorem 2 over {!Dyn_pri} + {!Dyn_max}:

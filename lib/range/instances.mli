@@ -38,7 +38,6 @@ module Dyn_pri : sig
      and type P.query = float * float
   val live : t -> int
   val rebuilds : t -> int
-  val bucket_count : t -> int
 end
 
 module Dyn_topk : sig

@@ -1,4 +1,5 @@
 module M = Topk_service.Metrics
+module Clock = Topk_util.Clock
 module Response = Topk_service.Response
 module Consistency = Topk_service.Consistency
 module Cache = Topk_cache.Cache
@@ -220,7 +221,7 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
       status = Response.Complete;
       summary = { Response.zero_summary with cost; rounds = 1; attempts = 1 };
       trace_id = None;
-      latency = Unix.gettimeofday () -. t0;
+      latency = Clock.now () -. t0;
       worker;
       instance = t.name;
       k;
@@ -234,7 +235,7 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
      unsynced writes can never be answered for out of the cache. *)
   let read ?(consistency = Consistency.Any) t q ~k =
     Consistency.validate consistency;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     let current = Version.make ~term:t.term ~seq:(head t) in
     let qkey = lazy (t.qkey q) in
     let cached =
@@ -301,7 +302,7 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
                   Cache.admit c ~instance:t.name ~qkey:(Lazy.force qkey)
                     ~version:(Version.make ~term:t.term ~seq:token)
                     ~k ~len:(List.length answers) ~cost:cost.Stats.ios
-                    ~now:(Unix.gettimeofday ()) answers
+                    ~now:(Clock.now ()) answers
                 with
                 | `Bypassed -> (
                     match t.metrics with

@@ -75,14 +75,6 @@ let add_peer t ~now id =
         { p_id = id; p_next = 1; p_acked = 0; p_base = 0; p_progress_at = now }
         :: t.peers
 
-let remove_peer t id = t.peers <- List.filter (fun p -> p.p_id <> id) t.peers
-
-let peer_ids t = List.rev_map (fun p -> p.p_id) t.peers
-
-let peer_acked t id = match find t id with Some p -> p.p_acked | None -> 0
-
-let acked_seqs t = List.map (fun p -> p.p_acked) t.peers
-
 (* How many peers have applied everything up to [seq] — the write
    path's quorum test. *)
 let acks_covering t seq =

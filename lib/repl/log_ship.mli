@@ -56,15 +56,6 @@ val add_peer : 'e t -> now:int -> int -> unit
 (** Start shipping to a peer (idempotent), cursor at seq 1 — the
     first cumulative ack snaps it forward to what the peer has. *)
 
-val remove_peer : 'e t -> int -> unit
-
-val peer_ids : 'e t -> int list
-
-val peer_acked : 'e t -> int -> int
-(** The peer's cumulative ack ([0] for an unknown peer). *)
-
-val acked_seqs : 'e t -> int list
-
 val acks_covering : 'e t -> int -> int
 (** Peers whose cumulative ack reaches [seq] — the quorum test. *)
 

@@ -173,5 +173,3 @@ let state_string = function
   | Closed -> "closed"
   | Half_open -> "half-open"
   | Open -> "open"
-
-let pp_state ppf s = Format.pp_print_string ppf (state_string s)

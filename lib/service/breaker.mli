@@ -57,5 +57,3 @@ val state_code : state -> int
 (** [Closed -> 0], [Half_open -> 1], [Open -> 2] (for gauges). *)
 
 val state_string : state -> string
-
-val pp_state : Format.formatter -> state -> unit

@@ -1,3 +1,4 @@
+module Clock = Topk_util.Clock
 module Stats = Topk_em.Stats
 module Tr = Topk_trace.Trace
 module Cache = Topk_cache.Cache
@@ -95,8 +96,6 @@ let attach (type q e) client ?version ?qkey (source : (q, e) source) :
 
 let name h = h.name
 
-let now () = Unix.gettimeofday ()
-
 let rec take n = function
   | [] -> []
   | _ when n <= 0 -> []
@@ -113,7 +112,7 @@ let local_response h ~k ?(answers = []) ?seq_token ?trace_id
       status;
       summary;
       trace_id;
-      latency = now () -. since;
+      latency = Clock.now () -. since;
       worker = -1;
       instance = h.name;
       k;
@@ -143,7 +142,7 @@ let offer h ~qkey ~k ~v0 (resp : _ Response.t) =
         match
           Cache.admit cache ~instance:h.name ~qkey ~version ~k
             ~len:(List.length resp.Response.answers)
-            ~cost ~now:(now ())
+            ~cost ~now:(Clock.now ())
             (h.inj resp.Response.answers)
         with
         | `Admitted -> Tr.event "cache.admit" ~attrs:[ ("k", Tr.Int k) ]
@@ -157,7 +156,7 @@ let offer h ~qkey ~k ~v0 (resp : _ Response.t) =
    runs show the query was answered without touching the index. *)
 let serve_hit h ~k ~since ~current (entry : univ Cache.entry) answers =
   let open Cache in
-  let age_us = int_of_float ((now () -. entry.e_inserted) *. 1e6) in
+  let age_us = int_of_float ((Clock.now () -. entry.e_inserted) *. 1e6) in
   let m = h.client.metrics in
   Metrics.Counter.incr m.Metrics.cache_hits;
   Metrics.Histogram.observe m.Metrics.cache_hit_age_us age_us;
@@ -207,7 +206,7 @@ let query ?(limits = Limits.none) ?(consistency = Consistency.Any) h q ~k :
     invalid_arg
       (Printf.sprintf "Client.query: k must be positive (got %d)" k);
   Consistency.validate consistency;
-  let since = now () in
+  let since = Clock.now () in
   let _, deadline = Limits.resolve limits ~now:since in
   match deadline with
   | Some d when d <= since ->

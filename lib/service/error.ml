@@ -18,11 +18,6 @@ let to_string = function
   | Shed -> "shed"
   | Failed msg -> msg
 
-let of_exn = function
-  | Error e -> e
-  | Invalid_argument msg -> Failed msg
-  | e -> Failed (Printexc.to_string e)
-
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 (* Registered so an escaped [Error] prints its vocabulary instead of

@@ -33,7 +33,4 @@ val fail : t -> 'a
 
 val to_string : t -> string
 
-val of_exn : exn -> t
-(** [Error e] unwraps; anything else becomes [Failed]. *)
-
 val pp : Format.formatter -> t -> unit

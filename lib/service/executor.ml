@@ -1,3 +1,4 @@
+module Clock = Topk_util.Clock
 module Stats = Topk_em.Stats
 
 (* --- retry policy --- *)
@@ -50,10 +51,6 @@ type t = {
          kept as the sched-bench baseline *)
 }
 
-let default_workers () = max 1 (Domain.recommended_domain_count () - 1)
-
-let now () = Unix.gettimeofday ()
-
 (* --- worker side --- *)
 
 (* Raised (on purpose) by a worker whose [kill] flag is set: simulates
@@ -98,7 +95,7 @@ let record_final t job (o : Request.outcome) =
   let ok =
     match o.Request.o_status with Response.Failed _ -> false | _ -> true
   in
-  Breaker.record t.breakers.(Lane.index lane) ~now:(now ()) ~ok;
+  Breaker.record t.breakers.(Lane.index lane) ~now:(Clock.now ()) ~ok;
   finish_pending t
 
 (* Capped exponential backoff with jitter: attempt [a] (1-based) waits
@@ -121,7 +118,7 @@ let park t job delay =
     Mutex.protect t.mutex (fun () ->
         if t.stopping then `Abort
         else begin
-          t.parked <- (now () +. delay, job) :: t.parked;
+          t.parked <- (Clock.now () +. delay, job) :: t.parked;
           `Parked
         end)
   in
@@ -227,7 +224,7 @@ let supervisor_tick t =
     Mutex.protect t.mutex (fun () ->
         if t.parked = [] then 0
         else begin
-          let ts = now () in
+          let ts = Clock.now () in
           let due, later =
             List.partition (fun (ready, _) -> ready <= ts) t.parked
           in
@@ -275,7 +272,9 @@ let supervisor_loop t =
 let create ?workers ?(queue_capacity = 1024) ?(batch_max = 32)
     ?(retry = default_retry_policy) ?breaker ?lanes ?(seed = 0x5EED) () =
   let n_workers =
-    match workers with None -> default_workers () | Some w -> w
+    match workers with
+    | Some w -> w
+    | None -> max 1 (Domain.recommended_domain_count () - 1)
   in
   if n_workers < 1 then invalid_arg "Executor.create: workers must be >= 1";
   if queue_capacity < 1 then
@@ -358,6 +357,9 @@ let worker_count t = t.n_workers
 
 let metrics t = t.metrics
 
+let resolve_metrics ?metrics:m pool =
+  match m with Some _ -> m | None -> Option.map metrics pool
+
 let breaker_state t = Breaker.state t.breakers.(Lane.index Lane.Interactive)
 
 let lane_breaker_state t lane = Breaker.state t.breakers.(Lane.index lane)
@@ -368,8 +370,6 @@ let lane_depth t lane =
   Mutex.protect t.mutex (fun () -> Sched.lane_depth t.sched lane)
 
 let lanes t = Sched.config t.sched
-
-let retry_policy t = t.retry
 
 (* --- chaos hook --- *)
 
@@ -385,7 +385,8 @@ let inject_worker_crash t idx =
 let shut_down () = Error.fail (Error.Failed "shutdown")
 
 let admit t lane =
-  if not (Breaker.admit t.breakers.(Lane.index lane) ~now:(now ())) then begin
+  if not (Breaker.admit t.breakers.(Lane.index lane) ~now:(Clock.now ()))
+  then begin
     Metrics.Counter.incr t.metrics.breaker_rejected;
     Metrics.Counter.incr t.metrics.lane_shed.(Lane.index lane);
     Error.fail Error.Overloaded
@@ -418,7 +419,7 @@ let enqueue_nonblocking t req =
   let accepted =
     Mutex.protect t.mutex (fun () ->
         if t.stopping then shut_down ();
-        if not (Breaker.admit t.breakers.(Lane.index lane) ~now:(now ()))
+        if not (Breaker.admit t.breakers.(Lane.index lane) ~now:(Clock.now ()))
         then begin
           Metrics.Counter.incr t.metrics.breaker_rejected;
           Metrics.Counter.incr t.metrics.lane_shed.(Lane.index lane);
@@ -451,9 +452,6 @@ let submit_task t ?lane ?limits ~name f =
 let try_submit t handle ?lane ?limits q ~k =
   let req, fut = Request.prepare handle ?lane ?limits q ~k in
   if enqueue_nonblocking t req then Some fut else None
-
-let submit_batch t handle ?lane ?limits queries ~k =
-  List.map (fun q -> submit t handle ?lane ?limits q ~k) queries
 
 (* --- lifecycle --- *)
 

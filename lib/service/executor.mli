@@ -66,10 +66,6 @@ type retry_policy = {
 val default_retry_policy : retry_policy
 (** 3 retries, 1ms base, 50ms cap, jitter 0.5. *)
 
-val default_workers : unit -> int
-(** [max 1 (Domain.recommended_domain_count () - 1)] — leave one core
-    for the submitting thread. *)
-
 val create :
   ?workers:int ->
   ?queue_capacity:int ->
@@ -81,7 +77,8 @@ val create :
   unit ->
   t
 (** Spawn the pool (workers + one supervisor domain).  Defaults:
-    {!default_workers} workers, batches of up to 32,
+    [max 1 (Domain.recommended_domain_count () - 1)] workers (one core
+    left for the submitting thread), batches of up to 32,
     {!default_retry_policy}, and {!Sched.default_config} with every
     lane bounded at [queue_capacity] (default 1024).  [lanes]
     overrides the whole scheduler config (then [queue_capacity] is
@@ -140,16 +137,6 @@ val try_submit :
     counter.
     @raise Error.Error [(Failed "shutdown")] after shutdown. *)
 
-val submit_batch :
-  t ->
-  ('q, 'e) Registry.handle ->
-  ?lane:Lane.t ->
-  ?limits:Limits.t ->
-  'q list ->
-  k:int ->
-  'e Response.t Future.t list
-(** [submit] each query in order, returning the futures in order. *)
-
 val drain : t -> unit
 (** Block until no request is queued, parked for retry, or in flight. *)
 
@@ -171,13 +158,17 @@ val lanes : t -> Sched.config
 
 val metrics : t -> Metrics.t
 
+val resolve_metrics : ?metrics:Metrics.t -> t option -> Metrics.t option
+(** The metrics a pool-aware layer records into: [metrics] when
+    given, else the pool's {!metrics}, else [None].  {!Topk_ingest}
+    and {!Topk_durable} resolve their [?metrics]/[?pool] pair through
+    this one rule. *)
+
 val breaker_state : t -> Breaker.state
 (** The interactive lane's breaker (the one admission callers care
     about); see {!lane_breaker_state} for the others. *)
 
 val lane_breaker_state : t -> Lane.t -> Breaker.state
-
-val retry_policy : t -> retry_policy
 
 val inject_worker_crash : t -> int -> unit
 (** Chaos hook: make worker [idx]'s current domain terminate

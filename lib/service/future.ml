@@ -46,8 +46,6 @@ let await t =
 
 let poll t = Mutex.protect t.mutex (fun () -> t.cell)
 
-let is_filled t = Option.is_some (poll t)
-
 let on_fill t f =
   let now =
     Mutex.protect t.mutex (fun () ->

@@ -22,8 +22,6 @@ val await : 'a t -> 'a
 val poll : 'a t -> 'a option
 (** Non-blocking read. *)
 
-val is_filled : 'a t -> bool
-
 val on_fill : 'a t -> ('a -> unit) -> unit
 (** Run [f] with the value once it is available: immediately (on the
     calling domain) if already filled, otherwise on the domain that

@@ -21,18 +21,6 @@ let make ?budget ?timeout ?deadline () =
   in
   { budget; horizon }
 
-let with_budget b t =
-  check_budget (Some b);
-  { t with budget = Some b }
-
-let with_timeout s t = { t with horizon = Within s }
-
-let with_deadline d t = { t with horizon = At d }
-
-let unlimited_budget t = { t with budget = None }
-
-let is_none t = t.budget = None && t.horizon = Unbounded
-
 let resolve t ~now =
   let deadline =
     match t.horizon with

@@ -1,16 +1,20 @@
 (** Service constraints on one query, unified.
 
     Earlier layers grew overlapping optional arguments — [?budget] (EM
-    I/Os), [?timeout] (relative seconds), [?deadline] (absolute wall
-    clock) — threaded separately through {!Request}, {!Executor} and
-    the shard fan-out.  A [Limits.t] packages them as one value with a
-    builder, so call sites construct constraints once and pass them
-    anywhere, and fan-out layers can resolve a relative timeout into
-    the single absolute deadline shared by every leg. *)
+    I/Os), [?timeout] (relative seconds), [?deadline] (absolute time)
+    — threaded separately through {!Request}, {!Executor} and the
+    shard fan-out.  A [Limits.t] packages them as one value, so call
+    sites construct constraints once and pass them anywhere, and
+    fan-out layers can resolve a relative timeout into the single
+    absolute deadline shared by every leg.
+
+    Time is {!Topk_util.Clock} time: an absolute deadline is a point
+    on that monotonic timeline (e.g. [Clock.now () +. 0.5]), never an
+    epoch timestamp. *)
 
 type horizon =
   | Unbounded
-  | At of float      (** absolute wall-clock deadline (epoch seconds) *)
+  | At of float      (** absolute deadline, a {!Topk_util.Clock.now} reading *)
   | Within of float  (** relative timeout, seconds from submission *)
 
 type t = {
@@ -25,23 +29,6 @@ val make : ?budget:int -> ?timeout:float -> ?deadline:float -> unit -> t
 (** Bridge from the historical triple.
     @raise Invalid_argument if [budget < 0] or both [timeout] and
     [deadline] are given. *)
-
-(** {1 Builder} *)
-
-val with_budget : int -> t -> t
-(** @raise Invalid_argument if negative. *)
-
-val with_timeout : float -> t -> t
-(** Replaces the horizon with [Within s]. *)
-
-val with_deadline : float -> t -> t
-(** Replaces the horizon with [At d]. *)
-
-val unlimited_budget : t -> t
-
-(** {1 Reading} *)
-
-val is_none : t -> bool
 
 val resolve : t -> now:float -> int option * float option
 (** [(budget, absolute_deadline)]: [Within s] becomes [At (now + s)].

@@ -2,6 +2,8 @@
    bucketed histograms.  Workers record without ever taking a lock, so
    metrics cannot become a point of contention in the pool. *)
 
+module Clock = Topk_util.Clock
+
 module Counter = struct
   type t = int Atomic.t
 
@@ -168,7 +170,7 @@ type t = {
 
 let create () =
   {
-    started = Unix.gettimeofday ();
+    started = Clock.now ();
     submitted = Counter.create ();
     completed = Counter.create ();
     rejected = Counter.create ();
@@ -232,7 +234,7 @@ let cache_hit_rate t =
   let h = Counter.get t.cache_hits and m = Counter.get t.cache_misses in
   if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m)
 
-let uptime t = Unix.gettimeofday () -. t.started
+let uptime t = Clock.now () -. t.started
 
 let qps t =
   let dt = uptime t in

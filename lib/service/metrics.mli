@@ -57,7 +57,7 @@ end
 
 (** The registry carried by one {!Executor} pool. *)
 type t = {
-  started : float;
+  started : float;  (** {!Topk_util.Clock} reading at {!create} *)
   submitted : Counter.t;
   completed : Counter.t;
   rejected : Counter.t;       (** admission control: queue-full rejections *)
@@ -127,8 +127,6 @@ type t = {
 }
 
 val create : unit -> t
-
-val uptime : t -> float
 
 val qps : t -> float
 (** Completed queries per second of uptime. *)

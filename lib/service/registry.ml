@@ -1,3 +1,4 @@
+module Clock = Topk_util.Clock
 module Sigs = Topk_core.Sigs
 module Stats = Topk_em.Stats
 module Tr = Topk_trace.Trace
@@ -39,8 +40,6 @@ type t = {
 
 let create () = { mutex = Mutex.create (); entries = [] }
 
-let now () = Unix.gettimeofday ()
-
 (* Staged execution under a cost budget and/or deadline.
 
    An unconstrained query runs the structure's top-k directly.  A
@@ -78,7 +77,7 @@ let exec (type s q e)
         | Some b -> (Stats.snapshot ()).Stats.ios - before.Stats.ios >= b
       in
       let over_deadline () =
-        match deadline with None -> false | Some d -> now () > d
+        match deadline with None -> false | Some d -> Clock.now () > d
       in
       if over_deadline () then ([], Response.Cutoff_deadline, cost (), 0)
       else if (match budget with Some b -> b <= 0 | None -> false) then

@@ -1,3 +1,4 @@
+module Clock = Topk_util.Clock
 module Stats = Topk_em.Stats
 module Fault = Topk_em.Fault
 module Tr = Topk_trace.Trace
@@ -53,7 +54,7 @@ let prepare (type q e) (handle : (q, e) Registry.handle)
       invalid_arg
         (Printf.sprintf "Request: budget must be >= 0 (got %d)" b)
   | _ -> ());
-  let submitted = Unix.gettimeofday () in
+  let submitted = Clock.now () in
   let budget, deadline = Limits.resolve limits ~now:submitted in
   (* If the submitter is itself running under a trace (e.g. a scatter
      root), link the worker-side trace of this request back to it. *)
@@ -68,7 +69,7 @@ let prepare (type q e) (handle : (q, e) Registry.handle)
      no-op instead of an exception that could kill a worker domain. *)
   let finish ~worker ~attempt ~trace_id ~certified answers status cost rounds
       =
-    let latency = Unix.gettimeofday () -. submitted in
+    let latency = Clock.now () -. submitted in
     ignore
       (Future.try_fill fut
          {
@@ -112,7 +113,7 @@ let prepare (type q e) (handle : (q, e) Registry.handle)
                 ("queued_us",
                  Tr.Int
                    (int_of_float
-                      ((Unix.gettimeofday () -. submitted) *. 1e6))) ];
+                      ((Clock.now () -. submitted) *. 1e6))) ];
           match Registry.h_exec handle q ~k ~budget ~deadline with
           | result -> `Done result
           | exception Fault.Em_fault msg -> `Fault msg
@@ -159,14 +160,14 @@ let prepare (type q e) (handle : (q, e) Registry.handle)
    [Stats.aggregate]. *)
 let make_task ~name ?(lane = Lane.Batch) ?(limits = Limits.none)
     (f : unit -> unit) : t * unit Response.t Future.t =
-  let submitted = Unix.gettimeofday () in
+  let submitted = Clock.now () in
   let _budget, deadline = Limits.resolve limits ~now:submitted in
   let parent = Tr.current_trace_id () in
   let spec = { instance = name; k = 0; lane; limits; deadline; submitted } in
   let attempts = ref 0 in
   let fut = Future.create () in
   let finish ~worker ~attempt ~trace_id status cost =
-    let latency = Unix.gettimeofday () -. submitted in
+    let latency = Clock.now () -. submitted in
     ignore
       (Future.try_fill fut
          {
@@ -203,7 +204,7 @@ let make_task ~name ?(lane = Lane.Batch) ?(limits = Limits.none)
                 ("queued_us",
                  Tr.Int
                    (int_of_float
-                      ((Unix.gettimeofday () -. submitted) *. 1e6))) ];
+                      ((Clock.now () -. submitted) *. 1e6))) ];
           Stats.round_carry ();
           let before = Stats.snapshot () in
           let cost () =

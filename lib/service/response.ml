@@ -54,30 +54,17 @@ let severity = function
 
 let combine_status a b = if severity b > severity a then b else a
 
-let combine_summary a b =
-  {
-    cost = Stats.add a.cost b.cost;
-    rounds = a.rounds + b.rounds;
-    attempts = a.attempts + b.attempts;
-    certified =
-      (match (a.certified, b.certified) with
-      | Some va, Some vb -> if vb.Certify.v_ok then Some va else Some vb
-      | (Some _ as v), None | None, v -> v);
-  }
-
 let status_string = function
   | Complete -> "complete"
   | Cutoff_budget -> "cutoff:budget"
   | Cutoff_deadline -> "cutoff:deadline"
   | Failed e -> "failed:" ^ Error.to_string e
 
-let pp_status ppf s = Format.pp_print_string ppf (status_string s)
-
 let pp ppf r =
   Format.fprintf ppf
-    "@[<h>%s k=%d -> %d answer(s) [%a] cost=(%a) rounds=%d worker=%d \
+    "@[<h>%s k=%d -> %d answer(s) [%s] cost=(%a) rounds=%d worker=%d \
      latency=%.0fus%s%s@]"
-    r.instance r.k (List.length r.answers) pp_status r.status Stats.pp
+    r.instance r.k (List.length r.answers) (status_string r.status) Stats.pp
     (cost r) (rounds r) r.worker (r.latency *. 1e6)
     (match r.trace_id with
     | Some id -> Printf.sprintf " trace=%d" id

@@ -65,13 +65,7 @@ val combine_status : status -> status -> status
     [Complete < Cutoff_budget < Cutoff_deadline < Failed _].  Between
     two [Failed] the left message wins. *)
 
-val combine_summary : summary -> summary -> summary
-(** Componentwise sum of costs/rounds/attempts; a failing verdict
-    dominates the combined [certified]. *)
-
 val status_string : status -> string
-
-val pp_status : Format.formatter -> status -> unit
 
 val pp : Format.formatter -> 'e t -> unit
 (** Summary line (does not print the answers themselves). *)

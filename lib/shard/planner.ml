@@ -88,79 +88,6 @@ module Make (SS : Shard_set.S) = struct
 
   let query t q ~k = fst (query_report t q ~k)
 
-  (* Planner over [static ∪ buffer \ tombstones]: same plan shape as
-     [query_report], with every per-shard probe routed through the
-     shard's {!Delta.t}.  Bounds combine the (possibly stale but still
-     sound) static max with the buffered-insert bound; a visited shard
-     answers a static top-[(k + dead)] query, filters tombstoned
-     elements, and unions in the buffer's own top-k. *)
-  let query_with_delta t deltas q ~k =
-    Stats.mark_query ();
-    let s = SS.shard_count t in
-    if Array.length deltas <> s then
-      invalid_arg
-        (Printf.sprintf
-           "Planner.query_with_delta: %d delta(s) for %d shard(s)"
-           (Array.length deltas) s);
-    if k <= 0 then ([], zero_report)
-    else
-      Tr.with_span "planner.query"
-        ~attrs:
-          [ ("k", Tr.Int k); ("shards", Tr.Int s); ("deltas", Tr.Int s) ]
-        (fun () ->
-          let bounded = ref [] and empty = ref 0 in
-          Tr.with_span "planner.bounds" (fun () ->
-              for i = s - 1 downto 0 do
-                let d = deltas.(i) in
-                match
-                  Delta.combine_bound (SS.upper_bound t i q)
-                    (d.Delta.d_bound q)
-                with
-                | None -> incr empty
-                | Some ub -> bounded := (i, ub) :: !bounded
-              done);
-          let order =
-            List.sort (fun (_, a) (_, b) -> Float.compare b a) !bounded
-          in
-          let visit_shard i =
-            let d = deltas.(i) in
-            let raw = SS.topk_query t i q ~k:(k + d.Delta.d_dead_count) in
-            let live = List.filter (fun e -> not (d.Delta.d_dead e)) raw in
-            Gather.union ~cmp:W.compare ~k live (d.Delta.d_topk q ~k)
-          in
-          let rec visit acc legs visited remaining =
-            match remaining with
-            | [] -> (legs, visited, 0)
-            | (i, ub) :: rest ->
-                let kth = kth_weight ~k acc in
-                if ub < kth then begin
-                  Tr.event "planner.prune"
-                    ~attrs:
-                      [ ("shard", Tr.Int i);
-                        ("bound", Tr.Float ub);
-                        ("kth", Tr.Float kth);
-                        ("cut", Tr.Int (List.length remaining)) ];
-                  (legs, visited, List.length remaining)
-                end
-                else begin
-                  let answers =
-                    Tr.with_span "planner.visit"
-                      ~attrs:[ ("shard", Tr.Int i); ("bound", Tr.Float ub) ]
-                      (fun () -> visit_shard i)
-                  in
-                  let acc = Gather.union ~cmp:W.compare ~k acc answers in
-                  visit acc (answers :: legs) (visited + 1) rest
-                end
-          in
-          let legs, visited, pruned = visit [] [] 0 order in
-          let answers = Gather.merge ~cmp:W.compare ~k legs in
-          if Tr.is_enabled () then begin
-            Tr.add_attr "visited" (Tr.Int visited);
-            Tr.add_attr "pruned" (Tr.Int pruned);
-            Tr.add_attr "empty" (Tr.Int !empty)
-          end;
-          (answers, { max_queries = s; visited; pruned; empty = !empty }))
-
   let query_all t q ~k =
     Stats.mark_query ();
     if k <= 0 then []
@@ -169,9 +96,4 @@ module Make (SS : Shard_set.S) = struct
       let per_shard = List.init s (fun i -> SS.topk_query t i q ~k) in
       Gather.merge ~cmp:W.compare ~k per_shard
     end
-
-  let pp_report ppf r =
-    Format.fprintf ppf
-      "@[<h>max_queries=%d visited=%d pruned=%d empty=%d@]" r.max_queries
-      r.visited r.pruned r.empty
 end

@@ -32,25 +32,7 @@ module Make (SS : Shard_set.S) : sig
   val query_report : SS.t -> SS.P.query -> k:int -> SS.P.elem list * report
   (** Like {!query}, also reporting what the plan did. *)
 
-  val query_with_delta :
-    SS.t ->
-    (SS.P.query, SS.P.elem) Delta.t array ->
-    SS.P.query ->
-    k:int ->
-    SS.P.elem list * report
-  (** Exact top-k over [static ∪ buffer \ tombstones]: per-shard
-      bounds combine the static max with the buffered-insert bound
-      ({!Delta.combine_bound}); each visited shard answers a widened
-      static query ([k + d_dead_count]), filters tombstoned elements,
-      and unions the buffer's own matching top-k.  One delta per shard,
-      in shard order ({!Delta.none} for shards without pending
-      updates).
-      @raise Invalid_argument if [Array.length deltas] differs from
-      the shard count. *)
-
   val query_all : SS.t -> SS.P.query -> k:int -> SS.P.elem list
   (** Pruning-free baseline: visit every shard and merge.  Same
       answers, used to measure what pruning saves. *)
-
-  val pp_report : Format.formatter -> report -> unit
 end

@@ -8,6 +8,7 @@ module Limits = Topk_service.Limits
 module Tr = Topk_trace.Trace
 module Cache = Topk_cache.Cache
 module Version = Topk_cache.Version
+module Clock = Topk_util.Clock
 
 module Make
     (SS : Shard_set.S)
@@ -52,8 +53,6 @@ struct
     in
     { pool; set; handles; wave; name; cache }
 
-  let shard_set t = t.set
-
   let wave t = t.wave
 
   (* First [n] elements of [l] (or all of them), plus the rest. *)
@@ -65,7 +64,7 @@ struct
     | _ -> ([], l)
 
   let query t ?(lane = Topk_service.Lane.Interactive) ?(limits = Limits.none)
-      ?deltas q ~k =
+      q ~k =
     if k <= 0 then
       invalid_arg
         (Printf.sprintf "Scatter.query: k must be positive (got %d)" k);
@@ -74,31 +73,16 @@ struct
         invalid_arg
           (Printf.sprintf "Scatter.query: budget must be >= 0 (got %d)" b)
     | _ -> ());
-    (match deltas with
-    | Some d when Array.length d <> SS.shard_count t.set ->
-        invalid_arg
-          (Printf.sprintf "Scatter.query: %d delta(s) for %d shard(s)"
-             (Array.length d)
-             (SS.shard_count t.set))
-    | _ -> ());
-    (* Per-leg caching is sound only on the static, unbudgeted path: a
-       delta'd leg's answer depends on the caller's buffer/tombstones,
-       and under a budget the pool may return a cutoff prefix where the
-       cache would serve a complete answer.  Shards are immutable, so
-       entries live at {!Version.static} and never go stale. *)
+    (* Per-leg caching is sound only on the unbudgeted path: under a
+       budget the pool may return a cutoff prefix where the cache would
+       serve a complete answer.  Shards are immutable, so entries live
+       at {!Version.static} and never go stale. *)
     let leg_cache =
-      match (t.cache, deltas, limits.Limits.budget) with
-      | Some c, None, None -> Some (c, Marshal.to_string q [])
+      match (t.cache, limits.Limits.budget) with
+      | Some c, None -> Some (c, Marshal.to_string q [])
       | _ -> None
     in
-    (* Without pending updates every delta is empty and the plan below
-       degenerates to the static scatter path. *)
-    let deltas =
-      match deltas with
-      | Some d -> d
-      | None -> Array.init (SS.shard_count t.set) (fun _ -> Delta.none ())
-    in
-    let started = Unix.gettimeofday () in
+    let started = Clock.now () in
     (* Anchor a relative timeout once, here: every per-shard leg then
        shares the same absolute deadline instead of restarting the
        clock per leg. *)
@@ -137,11 +121,7 @@ struct
           let bounded = ref [] and empty = ref 0 in
           Tr.with_span "scatter.bounds" (fun () ->
               for i = s - 1 downto 0 do
-                match
-                  Delta.combine_bound
-                    (SS.upper_bound t.set i q)
-                    (deltas.(i).Delta.d_bound q)
-                with
+                match SS.upper_bound t.set i q with
                 | None -> incr empty
                 | Some ub -> bounded := (i, ub) :: !bounded
               done);
@@ -185,14 +165,14 @@ struct
                 let leg_name i =
                   (Registry.info t.handles.(i)).Registry.name
                 in
-                let consult i k_leg =
+                let consult i =
                   match leg_cache with
                   | None -> None
                   | Some (c, qkey) -> (
-                      let ts = Unix.gettimeofday () in
+                      let ts = Clock.now () in
                       match
                         Cache.find c ~instance:(leg_name i) ~qkey
-                          ~current:Version.static ~k:k_leg ~now:ts ()
+                          ~current:Version.static ~k ~now:ts ()
                       with
                       | Cache.Hit e ->
                           Metrics.Counter.incr m.Metrics.cache_hits;
@@ -201,7 +181,7 @@ struct
                                ((ts -. e.Cache.e_inserted) *. 1e6));
                           Tr.event "cache.hit"
                             ~attrs:[ ("shard", Tr.Int i) ];
-                          Some (fst (take k_leg e.Cache.e_payload))
+                          Some (fst (take k e.Cache.e_payload))
                       | Cache.Stale | Cache.Miss ->
                           Metrics.Counter.incr m.Metrics.cache_misses;
                           None)
@@ -211,32 +191,27 @@ struct
                 let jobs =
                   List.map
                     (fun (i, _) ->
-                      (* Widen the static leg by the shard's tombstone
-                         count so that filtering the dead still leaves
-                         the top-k survivors (see Delta). *)
-                      let k_leg = k + deltas.(i).Delta.d_dead_count in
-                      match consult i k_leg with
-                      | Some answers -> (i, k_leg, `Hit answers)
+                      match consult i with
+                      | Some answers -> (i, `Hit answers)
                       | None ->
                           ( i,
-                            k_leg,
                             `Fut
                               (* Legs inherit the logical query's lane
                                  (and, via [leg_limits], its absolute
                                  deadline): a fan-out never changes the
                                  priority of the work it is part of. *)
                               (Executor.submit t.pool t.handles.(i) ~lane
-                                 ~limits:leg_limits q ~k:k_leg) ))
+                                 ~limits:leg_limits q ~k) ))
                     now_wave
                 in
                 List.iter
-                  (fun (_, _, job) ->
+                  (fun (_, job) ->
                     match job with
                     | `Fut _ -> incr fanout
                     | `Hit _ -> ())
                   jobs;
                 List.iter
-                  (fun (i, k_leg, job) ->
+                  (fun (i, job) ->
                     match job with
                     | `Hit answers ->
                         (* A cached leg is a complete certified answer,
@@ -267,36 +242,23 @@ struct
                       (Response.cost r).Stats.ios;
                     leg_cost := Stats.add !leg_cost (Response.cost r);
                     status := Response.combine_status !status r.Response.status;
-                    let d = deltas.(i) in
-                    (* Tombstoned elements are filtered caller-side;
-                       the buffer's own matching top-k joins as an
-                       extra, always-complete leg.  Filtering a
-                       truncated leg only raises its last reported
-                       weight, so the certified-merge threshold stays
-                       sound. *)
-                    let live =
-                      List.filter
-                        (fun e -> not (d.Delta.d_dead e))
-                        r.Response.answers
-                    in
-                    let buffered = d.Delta.d_topk q ~k in
-                    if buffered <> [] then legs := (buffered, true) :: !legs;
+                    let answers = r.Response.answers in
                     (match r.Response.status with
                     | Response.Failed _ ->
                         (* A failed leg certifies nothing about its
                            shard. *)
                         legs := ([], false) :: !legs
-                    | Response.Complete -> legs := (live, true) :: !legs
+                    | Response.Complete -> legs := (answers, true) :: !legs
                     | Response.Cutoff_budget | Response.Cutoff_deadline ->
-                        legs := (live, false) :: !legs);
+                        legs := (answers, false) :: !legs);
                     (match (leg_cache, r.Response.status) with
                     | Some (c, qkey), Response.Complete -> (
                         match
                           Cache.admit c ~instance:(leg_name i) ~qkey
-                            ~version:Version.static ~k:k_leg
-                            ~len:(List.length live)
+                            ~version:Version.static ~k
+                            ~len:(List.length answers)
                             ~cost:(Response.cost r).Stats.ios
-                            ~now:(Unix.gettimeofday ()) live
+                            ~now:(Clock.now ()) answers
                         with
                         | `Bypassed ->
                             Metrics.Counter.incr m.Metrics.cache_bypasses
@@ -310,8 +272,7 @@ struct
                        [merge_certified] below is the single charged
                        gather pass. *)
                     candidates :=
-                      Gather.union ~cmp:W.compare ~k !candidates
-                        (Gather.union ~cmp:W.compare ~k live buffered))
+                      Gather.union ~cmp:W.compare ~k !candidates answers)
                   jobs;
                 waves rest
           in
@@ -341,18 +302,11 @@ struct
             answers;
             status;
             cost = Stats.add local !leg_cost;
-            latency = Unix.gettimeofday () -. started;
+            latency = Clock.now () -. started;
             fanout = !fanout;
             pruned = !pruned;
             empty = !empty;
           })
     in
     result
-
-  let pp_result ppf r =
-    Format.fprintf ppf
-      "@[<h>%s: |answers|=%d fanout=%d pruned=%d empty=%d ios=%d %.3fms@]"
-      (Response.status_string r.status)
-      (List.length r.answers) r.fanout r.pruned r.empty r.cost.Stats.ios
-      (r.latency *. 1e3)
 end

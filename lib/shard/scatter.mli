@@ -46,7 +46,7 @@ module Make
     cost : Topk_em.Stats.snapshot;
         (** caller-side cost (max queries + merges) plus the sum of
             every leg's cost *)
-    latency : float;  (** submit-to-answer wall time, seconds *)
+    latency : float;  (** submit-to-answer seconds, on {!Topk_util.Clock} *)
     fanout : int;  (** per-shard jobs actually submitted *)
     pruned : int;  (** shards skipped by the max-query upper bound *)
     empty : int;   (** shards with no matching element at all *)
@@ -70,12 +70,10 @@ module Make
       a hit joins the gather as a complete certified leg with zero
       charged I/O (and no pool submission), and completed legs are
       admitted back, tagged {!Topk_cache.Version.static} (the shard
-      snapshot is immutable).  Legs run with [deltas] or under an I/O
-      budget bypass the cache entirely, so caching never changes an
-      answer.  Hits/misses/bypasses land in the pool's metrics.
+      snapshot is immutable).  Legs run under an I/O budget bypass the
+      cache entirely, so caching never changes an answer.
+      Hits/misses/bypasses land in the pool's metrics.
       @raise Invalid_argument on [wave <= 0] or a duplicate name. *)
-
-  val shard_set : t -> SS.t
 
   val wave : t -> int
 
@@ -83,7 +81,6 @@ module Make
     t ->
     ?lane:Topk_service.Lane.t ->
     ?limits:Topk_service.Limits.t ->
-    ?deltas:(SS.P.query, SS.P.elem) Delta.t array ->
     SS.P.query ->
     k:int ->
     result
@@ -101,16 +98,7 @@ module Make
       ["scatter.leg"] span per gathered leg linking to the worker-side
       trace) whose [visited]/[pruned]/[empty] attributes feed the
       sharded cost certifier.
-
-      [deltas] (one per shard, in shard order) routes the query over
-      [static ∪ buffer \ tombstones]: per-shard bounds combine the
-      buffered-insert bound, each static leg is widened by the shard's
-      tombstone count and filtered caller-side, and the buffer's own
-      matching top-k joins the certified merge (see {!Delta}).
-      @raise Invalid_argument if [k <= 0], the limits carry a
-      negative budget, or [deltas] has the wrong length.
+      @raise Invalid_argument if [k <= 0] or the limits carry a
+      negative budget.
       @raise Topk_service.Error.Error if the pool is shut down. *)
-
-  val pp_result : Format.formatter -> result -> unit
-  (** Summary line (does not print the answers). *)
 end

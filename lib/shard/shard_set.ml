@@ -34,8 +34,6 @@ module type S = sig
 
   val built_elems : built -> P.elem array
 
-  val built_size : built -> int
-
   val shard_count : t -> int
 
   val shards : t -> shard array
@@ -104,8 +102,6 @@ module Make
   let detach t = Array.copy t.shard_arr
 
   let built_elems (b : built) = b.elems
-
-  let built_size (b : built) = Array.length b.elems
 
   let shard_count t = Array.length t.shard_arr
 

@@ -63,8 +63,6 @@ module type S = sig
   (** The element slice a detached shard indexes (not copied: treat as
       read-only). *)
 
-  val built_size : built -> int
-
   val shard_count : t -> int
 
   val shards : t -> shard array

@@ -8,6 +8,8 @@
    costs are *observed* via snapshots, not added — so tracing is
    invisible to the EM cost model. *)
 
+module Clock = Topk_util.Clock
+
 module Stats = Topk_em.Stats
 
 type value = Int of int | Float of float | Str of string | Bool of bool
@@ -45,20 +47,18 @@ let ctx_key =
 
 let next_id = Atomic.make 1
 
-let now () = Unix.gettimeofday ()
-
 let open_span name attrs =
   {
     name;
     attrs;
-    t_start = now ();
+    t_start = Clock.now ();
     t_end = nan;
     cost = Stats.zero_snapshot;
     children = [];
   }
 
 let close_span sp at_open =
-  sp.t_end <- now ();
+  sp.t_end <- Clock.now ();
   sp.cost <- Stats.diff (Stats.snapshot ()) at_open;
   sp.children <- List.rev sp.children
 
@@ -226,7 +226,7 @@ let event ?(attrs = []) name =
     let ctx = Domain.DLS.get ctx_key in
     match ctx.stack with
     | (sp, _) :: _ ->
-        let t = now () in
+        let t = Clock.now () in
         let ev =
           {
             name;

@@ -31,7 +31,7 @@ type value = Int of int | Float of float | Str of string | Bool of bool
 type span = {
   name : string;
   mutable attrs : (string * value) list;
-  t_start : float;                   (** [Unix.gettimeofday] at open *)
+  t_start : float;                   (** {!Topk_util.Clock} reading at open *)
   mutable t_end : float;             (** at close; [nan] while open *)
   mutable cost : Topk_em.Stats.snapshot;
       (** Stats delta charged on this domain while the span was open

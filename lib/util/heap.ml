@@ -74,10 +74,3 @@ let pop_exn t =
   match pop t with
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
-
-let to_list_unordered t =
-  let acc = ref [] in
-  for i = t.size - 1 downto 0 do
-    acc := t.data.(i) :: !acc
-  done;
-  !acc

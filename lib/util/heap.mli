@@ -22,5 +22,3 @@ val pop : 'a t -> 'a option
 
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
-
-val to_list_unordered : 'a t -> 'a list

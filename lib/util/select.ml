@@ -96,21 +96,20 @@ let nth_largest ~cmp arr r =
   if r < 1 || r > n then invalid_arg "Select.nth_largest: rank out of bounds";
   quickselect ~cmp arr (n - r)
 
-let top_k_array ~cmp k arr =
-  let n = Array.length arr in
+let top_k ~cmp k xs =
   if k <= 0 then []
-  else if n <= k then begin
-    let sorted = Array.copy arr in
-    Array.sort (fun a b -> cmp b a) sorted;
-    Array.to_list sorted
-  end
   else begin
-    let work = Array.copy arr in
-    (* Pivot the k-th largest into place, then sort only the top part. *)
-    ignore (quickselect ~cmp work (n - k));
-    let top = Array.sub work (n - k) k in
-    Array.sort (fun a b -> cmp b a) top;
-    Array.to_list top
+    let work = Array.of_list xs in
+    let n = Array.length work in
+    if n <= k then begin
+      Array.sort (fun a b -> cmp b a) work;
+      Array.to_list work
+    end
+    else begin
+      (* Pivot the k-th largest into place, then sort only the top part. *)
+      ignore (quickselect ~cmp work (n - k));
+      let top = Array.sub work (n - k) k in
+      Array.sort (fun a b -> cmp b a) top;
+      Array.to_list top
+    end
   end
-
-let top_k ~cmp k xs = top_k_array ~cmp k (Array.of_list xs)

@@ -9,9 +9,6 @@ val top_k : cmp:('a -> 'a -> int) -> int -> 'a list -> 'a list
     [length xs <= k].  Expected O(|xs| + k log k) via quickselect on an
     internal RNG seeded deterministically. *)
 
-val top_k_array : cmp:('a -> 'a -> int) -> int -> 'a array -> 'a list
-(** As {!top_k}; the input array is not modified. *)
-
 val quickselect : ?rng:Rng.t -> cmp:('a -> 'a -> int) -> 'a array -> int -> 'a
 (** [quickselect ~cmp arr i] is the element of rank [i] (0-based, from
     the smallest under [cmp]); expected linear time.  The array is

@@ -291,6 +291,38 @@ let test_client_prefix_law () =
   Alcotest.(check int) "budgeted query did not hit" 2
     (Svc.Metrics.Counter.get metrics.Svc.Metrics.cache_hits)
 
+(* The Client reads TTLs off {!Topk_util.Clock}: on a hand-advanced
+   clock an entry hits inside its lifetime and misses past it, with no
+   sleeping. *)
+let test_client_ttl_fake_clock () =
+  let elems = mk_intervals 500 11 in
+  let inst = IInst.Topk_t2.build ~params:(IInst.params ()) elems in
+  let registry = Svc.Registry.create () in
+  let h =
+    Svc.Registry.register registry ~name:"itv" (module IInst.Topk_t2) inst
+  in
+  let metrics = Svc.Metrics.create () in
+  let client = Svc.Client.create ~cache_ttl:10.0 ~metrics () in
+  let ch = Svc.Client.attach client (Svc.Client.direct h) in
+  let count c = Svc.Metrics.Counter.get c in
+  let clock = ref 1000.0 in
+  Topk_util.Clock.with_source (fun () -> !clock) (fun () ->
+      let first = Svc.Client.query_sync ch 0.41 ~k:8 in
+      clock := !clock +. 9.0;
+      let within = Svc.Client.query_sync ch 0.41 ~k:8 in
+      Alcotest.(check int) "hit inside the ttl" 1
+        (count metrics.Svc.Metrics.cache_hits);
+      Alcotest.(check (list int)) "hit equals computed" (ids first)
+        (ids within);
+      clock := !clock +. 2.0;
+      let expired = Svc.Client.query_sync ch 0.41 ~k:8 in
+      Alcotest.(check int) "no hit past the ttl" 1
+        (count metrics.Svc.Metrics.cache_hits);
+      Alcotest.(check int) "misses: cold + expired" 2
+        (count metrics.Svc.Metrics.cache_misses);
+      Alcotest.(check (list int)) "recomputed answer" (ids first)
+        (ids expired))
+
 (* --- replicated group: cached == uncached across a failover --- *)
 
 module G = Topk_repl.Group.Make (IInst.Topk_t2)
@@ -494,5 +526,7 @@ let () =
             test_group_stale_refusal;
           Alcotest.test_case "striped race across 4 domains" `Quick
             test_striped_race;
+          Alcotest.test_case "client ttl on a fake clock" `Quick
+            test_client_ttl_fake_clock;
         ] );
     ]

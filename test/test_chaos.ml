@@ -13,6 +13,7 @@
 
    Shutdown under chaos must likewise resolve every future. *)
 
+module Clock = Topk_util.Clock
 module Rng = Topk_util.Rng
 module Gen = Topk_util.Gen
 module Stats = Topk_em.Stats
@@ -163,10 +164,10 @@ let test_pool_survives_fault_plan () =
         (Metrics.Counter.get m.Metrics.retries > 0);
       (* The killed worker was respawned (bounded wait: the supervisor
          ticks every 0.5ms, but give CI plenty of slack). *)
-      let deadline = Unix.gettimeofday () +. 5. in
+      let deadline = Clock.now () +. 5. in
       while
         Metrics.Counter.get m.Metrics.respawns = 0
-        && Unix.gettimeofday () < deadline
+        && Clock.now () < deadline
       do
         Unix.sleepf 0.005
       done;

@@ -520,6 +520,43 @@ let test_store_checkpoint_vs_writers () =
           Alcotest.(check (list int)) "recovered set" want (live_ids st');
           IStore.close st')
 
+(* Given only [~pool], the store records its WAL, checkpoint and
+   recovery counters on the pool's metrics — the same default the
+   ingest layer applies to its seal and merge counters. *)
+let test_store_pool_metrics () =
+  with_dir (fun d ->
+      let rng = Rng.create 78 in
+      let pool = Executor.create ~workers:1 () in
+      Fun.protect
+        ~finally:(fun () -> Executor.shutdown pool)
+        (fun () ->
+          let m = Executor.metrics pool in
+          let get c = Metrics.Counter.get c in
+          let st =
+            IStore.create ~params:iparams ~buffer_cap:8 ~fanout:2 ~pool
+              ~mode:Store.Sync ~dir:d
+              (Array.init 10 (fun i -> random_interval rng i))
+          in
+          for i = 10 to 29 do
+            IStore.insert st (random_interval rng i)
+          done;
+          IStore.close st;
+          Alcotest.(check bool) "wal appends on the pool's metrics" true
+            (get m.Metrics.wal_appends >= 20);
+          Alcotest.(check bool) "checkpoints on the pool's metrics" true
+            (get m.Metrics.checkpoints >= 1);
+          Alcotest.(check bool) "seals on the pool's metrics" true
+            (get m.Metrics.seals >= 1);
+          match
+            IStore.recover ~params:iparams ~buffer_cap:8 ~fanout:2 ~pool
+              ~mode:Store.Sync ~dir:d ()
+          with
+          | None -> Alcotest.fail "no recovery root"
+          | Some st' ->
+              IStore.close st';
+              Alcotest.(check int) "recovery on the pool's metrics" 1
+                (get m.Metrics.recoveries)))
+
 let test_store_recover_empty () =
   with_dir (fun d ->
       Alcotest.(check bool) "empty dir" true
@@ -777,6 +814,8 @@ let () =
             test_store_gc_sweeps_stale_generations;
           Alcotest.test_case "manual checkpoint vs concurrent writers" `Quick
             test_store_checkpoint_vs_writers;
+          Alcotest.test_case "pool-only store counts on the pool" `Quick
+            test_store_pool_metrics;
           Alcotest.test_case "recover on empty dir" `Quick test_store_recover_empty;
           Alcotest.test_case "volatile writes nothing" `Quick test_store_volatile;
           Alcotest.test_case "mode_of_string" `Quick test_mode_of_string;

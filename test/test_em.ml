@@ -2,17 +2,12 @@
 
 module Config = Topk_em.Config
 module Stats = Topk_em.Stats
-module Lru = Topk_em.Lru_cache
-module Io_array = Topk_em.Io_array
 module Fault = Topk_em.Fault
 
 let test_config_validation () =
   Alcotest.check_raises "b too small"
     (Invalid_argument "Config.em: block size must be >= 2")
-    (fun () -> ignore (Config.em ~b:1 ()));
-  Alcotest.check_raises "m too small"
-    (Invalid_argument "Config.em: memory must be >= 2 * b")
-    (fun () -> ignore (Config.em ~m:100 ~b:64 ()))
+    (fun () -> ignore (Config.em ~b:1 ()))
 
 let test_blocks_of_words () =
   let c = Config.em ~b:64 () in
@@ -77,68 +72,6 @@ let test_measure_isolates () =
             failwith "boom"))
    with Failure _ -> ());
   Alcotest.(check int) "outer survives exception" 7 (Stats.ios ())
-
-let test_lru_hits_and_misses () =
-  Topk_em.Config.with_model (Config.em ~b:64 ()) (fun () ->
-      Stats.reset ();
-      let c = Lru.create ~capacity:2 () in
-      Alcotest.(check bool) "first access misses" false (Lru.access c 1);
-      Alcotest.(check bool) "second access hits" true (Lru.access c 1);
-      ignore (Lru.access c 2);
-      (* Capacity 2: 1 and 2 resident; 3 evicts the LRU (1). *)
-      ignore (Lru.access c 3);
-      Alcotest.(check bool) "1 was evicted" false (Lru.access c 1);
-      Alcotest.(check bool) "3 still resident" true (Lru.access c 3);
-      Alcotest.(check int) "io per miss" 4 (Stats.ios ()))
-
-let test_lru_recency_updates () =
-  let c = Lru.create ~capacity:2 () in
-  ignore (Lru.access c 1);
-  ignore (Lru.access c 2);
-  ignore (Lru.access c 1);  (* 1 becomes MRU; 2 is now LRU *)
-  ignore (Lru.access c 3);  (* evicts 2 *)
-  Alcotest.(check bool) "1 survived" true (Lru.access c 1);
-  Alcotest.(check bool) "2 evicted" false (Lru.access c 2)
-
-let test_lru_capacity_one () =
-  Config.with_model (Config.em ~b:64 ()) (fun () ->
-      Stats.reset ();
-      let c = Lru.create ~capacity:1 () in
-      Alcotest.(check bool) "cold access misses" false (Lru.access c 1);
-      Alcotest.(check bool) "immediate re-access hits" true (Lru.access c 1);
-      Alcotest.(check bool) "2 misses (evicts 1)" false (Lru.access c 2);
-      Alcotest.(check bool) "1 was evicted" false (Lru.access c 1);
-      Alcotest.(check bool) "2 was evicted in turn" false (Lru.access c 2);
-      Alcotest.(check int) "one io per miss" 4 (Stats.ios ());
-      Alcotest.(check int) "hits" 1 (Lru.hits c);
-      Alcotest.(check int) "misses" 4 (Lru.misses c))
-
-let test_lru_repeated_hits () =
-  let c = Lru.create ~capacity:2 () in
-  ignore (Lru.access c 7);
-  for _ = 1 to 100 do
-    Alcotest.(check bool) "resident block keeps hitting" true (Lru.access c 7)
-  done;
-  Alcotest.(check int) "a single miss" 1 (Lru.misses c);
-  Alcotest.(check int) "a hundred hits" 100 (Lru.hits c)
-
-(* Two arrays sharing one cache must not alias each other's blocks:
-   the same element index maps to distinct block ids per array. *)
-let test_io_array_block_id_isolation () =
-  Config.with_model (Config.em ~b:8 ()) (fun () ->
-      Stats.reset ();
-      let data = Array.init 8 (fun i -> i) in
-      let shared = Lru.create ~capacity:8 () in
-      let a = Io_array.of_array ~cache:shared data in
-      let b = Io_array.of_array ~cache:shared data in
-      ignore (Io_array.get a 0);
-      ignore (Io_array.get b 0);
-      Alcotest.(check int)
-        "same index, distinct arrays: two misses" 2 (Stats.ios ());
-      (* Both blocks are now resident; re-probing either is free. *)
-      ignore (Io_array.get a 7);
-      ignore (Io_array.get b 7);
-      Alcotest.(check int) "both stay resident" 2 (Stats.ios ()))
 
 (* [round_carry] closes each domain's partial scan block on that
    domain: two domains each scanning below a block boundary are charged
@@ -224,25 +157,6 @@ let test_fault_plan_validation () =
     (Invalid_argument "Fault.plan: max_faults must be >= 0 (got -1)")
     (fun () -> ignore (Fault.plan ~max_faults:(-1) ~seed:0 ()))
 
-let test_io_array_sequential_vs_random () =
-  Config.with_model (Config.em ~b:8 ~m:16 ()) (fun () ->
-      let data = Array.init 64 (fun i -> i) in
-      (* Sequential scan: one miss per block. *)
-      Stats.reset ();
-      let a = Io_array.of_array data in
-      let sum = ref 0 in
-      Io_array.iter_range a ~lo:0 ~hi:64 (fun x -> sum := !sum + x);
-      Alcotest.(check int) "sum" (64 * 63 / 2) !sum;
-      Alcotest.(check int) "sequential: 8 blocks" 8 (Stats.ios ());
-      (* Strided probes with a 2-block cache: most probes miss. *)
-      Stats.reset ();
-      let b = Io_array.of_array data in
-      for i = 0 to 7 do
-        ignore (Io_array.get b (i * 8));
-        ignore (Io_array.get b (((i + 4) mod 8) * 8))
-      done;
-      Alcotest.(check bool) "random probes cost more" true (Stats.ios () > 8))
-
 let () =
   Alcotest.run "topk_em"
     [
@@ -260,20 +174,6 @@ let () =
           Alcotest.test_case "measure isolates" `Quick test_measure_isolates;
           Alcotest.test_case "round_carry across domains" `Quick
             test_round_carry_multi_domain;
-        ] );
-      ( "lru",
-        [
-          Alcotest.test_case "hits and misses" `Quick test_lru_hits_and_misses;
-          Alcotest.test_case "recency" `Quick test_lru_recency_updates;
-          Alcotest.test_case "capacity one" `Quick test_lru_capacity_one;
-          Alcotest.test_case "repeated hits" `Quick test_lru_repeated_hits;
-        ] );
-      ( "io_array",
-        [
-          Alcotest.test_case "sequential vs random" `Quick
-            test_io_array_sequential_vs_random;
-          Alcotest.test_case "block-id isolation" `Quick
-            test_io_array_block_id_isolation;
         ] );
       ( "fault",
         [

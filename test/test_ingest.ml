@@ -1,7 +1,7 @@
 (* Tests for the live ingestion subsystem: the bounded update log, the
    refcounted epoch manager, and the Bentley–Saxe ingest wrapper
    (sealing, background merges on the pool, tombstone purge, snapshot
-   isolation, registry integration, and the shard delta path). *)
+   isolation, registry integration). *)
 
 module Rng = Topk_util.Rng
 module Gen = Topk_util.Gen
@@ -429,91 +429,6 @@ let test_registry_updates () =
       (fun () -> Registry.delete hs e);
       (fun () -> Registry.freeze hs) ]
 
-(* ------------------------------------------------------------------ *)
-(* The shard delta path: static snapshot + per-shard pending updates   *)
-
-module ISS =
-  Topk_shard.Shard_set.Make (Inst.Topk_t2) (Topk_interval.Slab_max)
-module IPlanner = Topk_shard.Planner.Make (ISS)
-module IScatter = Topk_shard.Scatter.Make (ISS) (Inst.Topk_t2)
-
-let test_delta_paths () =
-  let rng = Rng.create 433 in
-  let shards = 4 in
-  let per = 50 in
-  let partition =
-    Array.init shards (fun s ->
-        Array.init per (fun i -> random_interval rng ((s * per) + i + 1)))
-  in
-  let set = ISS.build ~params:iparams partition in
-  (* One ingest wrapper per shard, seeded with the same slice the
-     static snapshot indexes (few enough updates that compaction never
-     folds into the base run, which the delta treats as the static
-     part). *)
-  let ings =
-    Array.map (Ing.create ~params:iparams ~buffer_cap:8 ~fanout:4) partition
-  in
-  let model = Model.create () in
-  Array.iter (Array.iter (Model.insert model)) partition;
-  let next_id = ref (shards * per) in
-  for _ = 1 to 80 do
-    let s = Rng.int rng shards in
-    if Rng.bernoulli rng 0.6 then begin
-      incr next_id;
-      let e = random_interval rng !next_id in
-      Model.insert model e;
-      Ing.insert ings.(s) e
-    end
-    else begin
-      let slice = partition.(s) in
-      let e = slice.(Rng.int rng per) in
-      Model.delete model e;
-      Ing.delete ings.(s) e
-    end
-  done;
-  let views = Array.map Ing.pin ings in
-  Fun.protect
-    ~finally:(fun () -> Array.iter Ing.unpin views)
-    (fun () ->
-      let deltas = Array.map Ing.delta_of_view views in
-      let qs = Gen.stab_queries rng ~n:10 in
-      (* Sequential planner... *)
-      Array.iter
-        (fun q ->
-          List.iter
-            (fun k ->
-              let got, _report = IPlanner.query_with_delta set deltas q ~k in
-              Alcotest.(check (list int))
-                "planner+delta = model"
-                (ids (Model.top_k model q ~k))
-                (ids got))
-            [ 1; 5; 25 ])
-        qs;
-      (* ...and the pool-backed scatter agree with the model. *)
-      let pool = Executor.create ~workers:3 () in
-      Fun.protect
-        ~finally:(fun () -> Executor.shutdown pool)
-        (fun () ->
-          let registry = Registry.create () in
-          let sc = IScatter.create pool registry ~name:"dlt" set in
-          Array.iter
-            (fun q ->
-              List.iter
-                (fun k ->
-                  let r = IScatter.query sc ~deltas q ~k in
-                  Alcotest.(check (list int))
-                    "scatter+delta = model"
-                    (ids (Model.top_k model q ~k))
-                    (ids r.IScatter.answers))
-                [ 1; 5; 25 ])
-            qs);
-      (* Wrong arity is rejected. *)
-      try
-        ignore
-          (IPlanner.query_with_delta set (Array.sub deltas 0 1) 0.5 ~k:3);
-        Alcotest.fail "short delta array accepted"
-      with Invalid_argument _ -> ())
-
 let () =
   Alcotest.run "topk_ingest"
     [
@@ -542,6 +457,5 @@ let () =
       ( "integration",
         [
           Alcotest.test_case "registry updates" `Quick test_registry_updates;
-          Alcotest.test_case "delta paths" `Quick test_delta_paths;
         ] );
     ]

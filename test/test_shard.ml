@@ -504,7 +504,7 @@ let test_scatter_cutoffs () =
       (* An already-expired deadline behaves the same, flagged as such. *)
       let rd =
         IScatter.query sc
-          ~limits:(Limits.make ~deadline:(Unix.gettimeofday () -. 1.) ())
+          ~limits:(Limits.make ~deadline:(Topk_util.Clock.now () -. 1.) ())
           queries.(0) ~k:10
       in
       Alcotest.(check string)

@@ -1,11 +1,12 @@
-(* Tests for the utility layer: RNG, heaps, selection, search, and the
-   workload generators every experiment relies on. *)
+(* Tests for the utility layer: RNG, heaps, selection, search, the
+   workload generators every experiment relies on, and the clock. *)
 
 module Rng = Topk_util.Rng
 module Heap = Topk_util.Heap
 module Select = Topk_util.Select
 module Search = Topk_util.Search
 module Gen = Topk_util.Gen
+module Clock = Topk_util.Clock
 
 (* --- Rng --- *)
 
@@ -323,6 +324,37 @@ let test_mix_weights_correlation () =
   Alcotest.(check bool) "uncorrelated is shuffled" false
     (Search.is_sorted ~cmp:Float.compare w0)
 
+(* --- Clock --- *)
+
+(* Monotonic per domain: two domains each take 10^5 back-to-back
+   readings and none ever goes backwards. *)
+let test_clock_monotonic () =
+  let reads () =
+    let prev = ref (Clock.now ()) and backwards = ref 0 in
+    for _ = 1 to 100_000 do
+      let t = Clock.now () in
+      if t < !prev then incr backwards;
+      prev := t
+    done;
+    !backwards
+  in
+  let d1 = Domain.spawn reads and d2 = Domain.spawn reads in
+  Alcotest.(check int) "domain 1 never steps back" 0 (Domain.join d1);
+  Alcotest.(check int) "domain 2 never steps back" 0 (Domain.join d2)
+
+let test_clock_source_restored () =
+  let fake = ref 42.0 in
+  Clock.with_source (fun () -> !fake) (fun () ->
+      Alcotest.(check (float 0.)) "reads the fake source" 42.0 (Clock.now ());
+      fake := 43.5;
+      Alcotest.(check (float 0.)) "follows the fake source" 43.5 (Clock.now ()));
+  (try Clock.with_source (fun () -> 0.) (fun () -> failwith "boom")
+   with Failure _ -> ());
+  let a = Clock.now () in
+  Unix.sleepf 0.002;
+  let b = Clock.now () in
+  Alcotest.(check bool) "real source back after a raise" true (b > a && a > 0.)
+
 let () =
   Alcotest.run "topk_util"
     [
@@ -368,5 +400,12 @@ let () =
             test_halfplanes_unit_normal;
           Alcotest.test_case "weight correlation" `Quick
             test_mix_weights_correlation;
+        ] );
+      ( "clock",
+        [
+          Alcotest.test_case "monotonic across 2 domains" `Quick
+            test_clock_monotonic;
+          Alcotest.test_case "source seam restores on raise" `Quick
+            test_clock_source_restored;
         ] );
     ]
