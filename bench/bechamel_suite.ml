@@ -25,6 +25,8 @@ let interval_tests () =
   let t2 = I_inst.Topk_t2.build ~params elems in
   let rj = I_inst.Topk_rj.build elems in
   let naive = I_inst.Topk_naive.build elems in
+  (* The monitored scan limit of Theorem 2's first round, 4 K_1. *)
+  let first_round = 4 * (I_inst.Topk_t2.info t2).k1 in
   let cursor = ref 0 in
   let next () =
     cursor := (!cursor + 1) mod Array.length queries;
@@ -34,6 +36,11 @@ let interval_tests () =
     Test.make ~name:"interval/pri-query (E4)"
       (Staged.stage (fun () ->
            ignore (Topk_interval.Seg_stab.query pri (next ()) ~tau:Float.infinity)));
+    Test.make ~name:"interval/pri-monitored tau=-inf (E5)"
+      (Staged.stage (fun () ->
+           ignore
+             (Topk_interval.Seg_stab.query_monitored pri (next ())
+                ~tau:Float.neg_infinity ~limit:first_round)));
     Test.make ~name:"interval/max-query (E5)"
       (Staged.stage (fun () -> ignore (Topk_interval.Slab_max.query mx (next ()))));
     Test.make ~name:"interval/thm1 top-10 (E4)"
@@ -45,6 +52,50 @@ let interval_tests () =
     Test.make ~name:"interval/naive top-10 (E7)"
       (Staged.stage (fun () ->
            ignore (I_inst.Topk_naive.query naive (next ()) ~k:10)));
+  ]
+
+(* The kernels on a Theorem 2 / scatter answer path, on their own:
+   k-selection over stab candidates at both shapes the serving
+   benchmark drives (a top-10 at n = 16 384, a shard leg's top-100 at
+   n = 4096) and the k-way gather of 2 and 4 sorted legs. *)
+let serving_kernel_tests () =
+  let module W = Topk_core.Sigs.Weight_order (Topk_interval.Problem) in
+  let stab_lists ~n ~seed =
+    let elems = Workloads.intervals ~seed ~shape:Gen.Mixed_intervals ~n in
+    let pri = Topk_interval.Seg_stab.build elems in
+    Array.map
+      (fun q -> Topk_interval.Seg_stab.query pri q ~tau:Float.neg_infinity)
+      (Workloads.stab_queries ~seed:(seed + 1) ~n:64)
+  in
+  let wide = stab_lists ~n ~seed:910 and leg = stab_lists ~n:4096 ~seed:912 in
+  let legs s =
+    Array.map
+      (fun cands ->
+        List.init s (fun i ->
+            W.top_k 100
+              (List.filter
+                 (fun (e : Topk_interval.Interval.t) -> e.id mod s = i)
+                 cands)))
+      wide
+  in
+  let legs2 = legs 2 and legs4 = legs 4 in
+  let cursor = ref 0 in
+  let next arr =
+    cursor := (!cursor + 1) mod Array.length arr;
+    arr.(!cursor)
+  in
+  let cmp = W.compare in
+  [
+    Test.make ~name:"kernel/select top-10 of stab list n=16384"
+      (Staged.stage (fun () -> ignore (W.top_k 10 (next wide))));
+    Test.make ~name:"kernel/select top-100 of stab list n=4096"
+      (Staged.stage (fun () -> ignore (W.top_k 100 (next leg))));
+    Test.make ~name:"kernel/gather 2 legs k=100"
+      (Staged.stage (fun () ->
+           ignore (Topk_shard.Gather.merge ~cmp ~k:100 (next legs2))));
+    Test.make ~name:"kernel/gather 4 legs k=100"
+      (Staged.stage (fun () ->
+           ignore (Topk_shard.Gather.merge ~cmp ~k:100 (next legs4))));
   ]
 
 let dynamic_tests () =
@@ -150,7 +201,8 @@ let run () =
   Table.section "Bechamel wall-clock microbenchmarks (ns per query)";
   let tests =
     Test.make_grouped ~name:"topk"
-      (interval_tests () @ dynamic_tests () @ halfplane_tests ()
+      (interval_tests () @ serving_kernel_tests () @ dynamic_tests ()
+      @ halfplane_tests ()
       @ kd_tests () @ enclosure_tests () @ dominance_tests ())
   in
   let cfg =

@@ -10,7 +10,9 @@ module Make (P : Sigs.PROBLEM) = struct
   let matching t q =
     Array.to_list t.elems |> List.filter (fun e -> P.matches q e)
 
-  let top_k t q ~k = W.top_k k (matching t q)
+  (* The reference selection, not {!W.top_k}: the oracle must not share
+     the kernel it checks. *)
+  let top_k t q ~k = Topk_util.Select.top_k ~cmp:W.compare k (matching t q)
 
   let prioritized t q ~tau =
     matching t q

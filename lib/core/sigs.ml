@@ -167,7 +167,7 @@ module Weight_order (P : PROBLEM) = struct
     Array.to_list arr
 
   (** The [k] heaviest of [elems], sorted by decreasing weight. *)
-  let top_k k elems = Topk_util.Select.top_k ~cmp:compare k elems
+  let top_k k elems = Topk_util.Select.top_k_by ~key:P.weight ~id:P.id k elems
 end
 
 (** A structure for (exact) counting: given a predicate, return

@@ -63,24 +63,29 @@ let space_words t =
   + Array.length t.node_lists
 
 (* Visit reportable intervals along the root-to-leaf path of [q]'s
-   slab; [f] may raise to stop early. *)
+   slab; [f] may raise to stop early.  Each node's scan is charged once
+   with the number of intervals it reported ([i + 1] when [f] stops
+   the scan at interval [i]): the scan carry makes that the same
+   [ios]/[scanned] as one charge per interval, and the fault hook still
+   ticks once per block I/O in the same order, since [f] charges
+   nothing. *)
 let visit t q ~tau f =
   let s = Slabs.slab_of_point t.slabs q in
   let node = ref (t.leaves + s) in
   while !node >= 1 do
     Stats.charge_ios 1;
     let lst = t.node_lists.(!node) in
+    let len = Array.length lst in
     let i = ref 0 in
-    let continue = ref true in
-    while !continue && !i < Array.length lst do
-      let itv = lst.(!i) in
-      if itv.Interval.weight >= tau then begin
-        Stats.charge_scan 1;
-        f itv;
-        incr i
-      end
-      else continue := false
-    done;
+    (try
+       while !i < len && (Array.unsafe_get lst !i).Interval.weight >= tau do
+         f (Array.unsafe_get lst !i);
+         incr i
+       done
+     with e ->
+       Stats.charge_scan (!i + 1);
+       raise e);
+    Stats.charge_scan !i;
     node := !node / 2
   done
 

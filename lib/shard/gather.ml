@@ -1,29 +1,51 @@
 module Stats = Topk_em.Stats
-module Heap = Topk_util.Heap
 
-(* One cursor per (non-empty) input list; the heap orders cursors by
-   their head, largest first ([cmp] ascending order reversed). *)
+(* A max-heap of cursor slots, one per non-empty input: slot [s] holds
+   its list's current head and the rest, and [heap.(0 .. size-1)] keeps
+   the slots ordered by head.  Advancing a cursor rewrites its slot in
+   place, so a step allocates nothing but the output cell. *)
 let merge ~cmp ~k lists =
-  if k <= 0 then []
+  let live =
+    Array.of_list (List.filter (function [] -> false | _ :: _ -> true) lists)
+  in
+  if k <= 0 || Array.length live = 0 then []
   else begin
-    let heap =
-      Heap.create
-        ~cmp:(fun (a, _) (b, _) -> cmp b a)  (* max-heap on heads *)
-        ()
+    let heads = Array.map List.hd live and rests = Array.map List.tl live in
+    let size = ref (Array.length live) in
+    let heap = Array.init !size Fun.id in
+    let above i j = cmp heads.(heap.(i)) heads.(heap.(j)) > 0 in
+    let rec sift i =
+      let l = (2 * i) + 1 in
+      if l < !size then begin
+        let c = if l + 1 < !size && above (l + 1) l then l + 1 else l in
+        if above c i then begin
+          let s = heap.(i) in
+          heap.(i) <- heap.(c);
+          heap.(c) <- s;
+          sift c
+        end
+      end
     in
-    List.iter
-      (fun l -> match l with [] -> () | x :: rest -> Heap.push heap (x, rest))
-      lists;
-    let out = ref [] and taken = ref 0 in
-    while !taken < k && not (Heap.is_empty heap) do
-      let x, rest = Heap.pop_exn heap in
-      (* Consuming one element of a sorted shard answer is one step of
-         the O(k/B) output scan. *)
-      Stats.charge_scan 1;
-      out := x :: !out;
-      incr taken;
-      match rest with [] -> () | y :: rest' -> Heap.push heap (y, rest')
+    for i = (!size / 2) - 1 downto 0 do
+      sift i
     done;
+    let out = ref [] and taken = ref 0 in
+    while !taken < k && !size > 0 do
+      let s = heap.(0) in
+      out := heads.(s) :: !out;
+      incr taken;
+      (match rests.(s) with
+      | [] ->
+          decr size;
+          heap.(0) <- heap.(!size)
+      | y :: rest ->
+          heads.(s) <- y;
+          rests.(s) <- rest);
+      sift 0
+    done;
+    (* Consuming one element of a sorted shard answer is one step of
+       the O(k/B) output scan: one charge for all of them. *)
+    Stats.charge_scan !taken;
     List.rev !out
   end
 

@@ -35,12 +35,17 @@ let rec select_rec ~pick ~cmp arr lo hi i =
     else arr.(i)
   end
 
-let default_rng = Rng.create 0x5e1ec7
+(* Pivot stream of callers that pass no [?rng]: one per domain, all
+   from the same seed, so concurrent workers never race on a shared
+   generator and a single-domain caller sees the historical stream. *)
+let default_rng = Domain.DLS.new_key (fun () -> Rng.create 0x5e1ec7)
 
 let quickselect ?rng ~cmp arr i =
   let n = Array.length arr in
   if i < 0 || i >= n then invalid_arg "Select.quickselect: rank out of bounds";
-  let rng = match rng with Some r -> r | None -> default_rng in
+  let rng =
+    match rng with Some r -> r | None -> Domain.DLS.get default_rng
+  in
   let pick _ lo hi = lo + Rng.int rng (hi - lo + 1) in
   select_rec ~pick ~cmp arr 0 (n - 1) i
 
@@ -112,4 +117,209 @@ let top_k ~cmp k xs =
       Array.sort (fun a b -> cmp b a) top;
       Array.to_list top
     end
+  end
+
+(* --- Float-keyed selection ---
+
+   [top_k_by] reads each element's key once into parallel unboxed
+   arrays: position [i] holds weight [w.(i)] and id [ids.(i)] of the
+   element at original index [perm.(i)].  Every step below permutes the
+   three arrays together, so compares never touch the elements. *)
+
+(* Whether (x, a) comes strictly before (y, b) in decreasing order of
+   [Float.compare] on the weight, then of the id.  [Float.compare]
+   places NaN below every other float and equal to itself. *)
+let[@inline] before (x : float) (a : int) (y : float) (b : int) =
+  if x > y then true
+  else if x < y then false
+  else if x = y then a > b
+  else if Float.is_nan x then Float.is_nan y && a > b
+  else true
+
+let[@inline] swap3 (w : float array) (ids : int array) (perm : int array) i j =
+  let x = Array.unsafe_get w i in
+  Array.unsafe_set w i (Array.unsafe_get w j);
+  Array.unsafe_set w j x;
+  let a = Array.unsafe_get ids i in
+  Array.unsafe_set ids i (Array.unsafe_get ids j);
+  Array.unsafe_set ids j a;
+  let p = Array.unsafe_get perm i in
+  Array.unsafe_set perm i (Array.unsafe_get perm j);
+  Array.unsafe_set perm j p
+
+let insertion_sort w ids (perm : int array) lo hi =
+  for i = lo + 1 to hi do
+    let x = Array.unsafe_get w i
+    and a = Array.unsafe_get ids i
+    and p = Array.unsafe_get perm i in
+    let j = ref (i - 1) in
+    while
+      !j >= lo && before x a (Array.unsafe_get w !j) (Array.unsafe_get ids !j)
+    do
+      Array.unsafe_set w (!j + 1) (Array.unsafe_get w !j);
+      Array.unsafe_set ids (!j + 1) (Array.unsafe_get ids !j);
+      Array.unsafe_set perm (!j + 1) (Array.unsafe_get perm !j);
+      decr j
+    done;
+    Array.unsafe_set w (!j + 1) x;
+    Array.unsafe_set ids (!j + 1) a;
+    Array.unsafe_set perm (!j + 1) p
+  done
+
+(* Whether position [i] comes strictly before position [j]. *)
+let[@inline] before_at (w : float array) (ids : int array) i j =
+  before (Array.unsafe_get w i) (Array.unsafe_get ids i) (Array.unsafe_get w j)
+    (Array.unsafe_get ids j)
+
+(* Heapsort of [lo, hi] into decreasing order: a heap whose root is the
+   element that comes last, repeatedly moved to the end of the range. *)
+let heap_sort w ids perm lo hi =
+  let rec sift root last =
+    let l = lo + (2 * (root - lo)) + 1 in
+    if l <= last then begin
+      let c = if l < last && before_at w ids l (l + 1) then l + 1 else l in
+      if before_at w ids root c then begin
+        swap3 w ids perm c root;
+        sift c last
+      end
+    end
+  in
+  for root = lo + ((hi - lo - 1) / 2) downto lo do
+    sift root hi
+  done;
+  for last = hi downto lo + 1 do
+    swap3 w ids perm lo last;
+    sift lo (last - 1)
+  done
+
+(* Index of the median of positions [lo], [mid] and [hi]. *)
+let median3 w ids lo hi =
+  let mid = lo + ((hi - lo) / 2) in
+  if before_at w ids lo mid then
+    if before_at w ids mid hi then mid
+    else if before_at w ids lo hi then hi
+    else lo
+  else if before_at w ids lo hi then lo
+  else if before_at w ids mid hi then hi
+  else mid
+
+(* Hoare partition of [lo, hi] around the key at [p]: on return
+   [bounds.(0) = j < bounds.(1) = i] with [lo, j] not after the pivot,
+   [i, hi] not before it, and anything strictly between equal to it. *)
+let partition w ids perm (bounds : int array) lo hi p =
+  let pw = Array.unsafe_get w p and pid = Array.unsafe_get ids p in
+  let i = ref lo and j = ref hi in
+  while !i <= !j do
+    while before (Array.unsafe_get w !i) (Array.unsafe_get ids !i) pw pid do
+      incr i
+    done;
+    while before pw pid (Array.unsafe_get w !j) (Array.unsafe_get ids !j) do
+      decr j
+    done;
+    if !i <= !j then begin
+      swap3 w ids perm !i !j;
+      incr i;
+      decr j
+    end
+  done;
+  Array.unsafe_set bounds 0 !j;
+  Array.unsafe_set bounds 1 !i
+
+let small = 16
+
+let rec log2 m = if m <= 1 then 0 else 1 + log2 (m / 2)
+
+(* Introsort of [lo, hi] into decreasing order: median-of-3 quicksort
+   that turns to heapsort once [depth] levels are spent. *)
+let rec sort_range w ids perm bounds lo hi depth =
+  if hi - lo < small then insertion_sort w ids perm lo hi
+  else if depth = 0 then heap_sort w ids perm lo hi
+  else begin
+    partition w ids perm bounds lo hi (median3 w ids lo hi);
+    let j = bounds.(0) and i = bounds.(1) in
+    sort_range w ids perm bounds lo j (depth - 1);
+    sort_range w ids perm bounds i hi (depth - 1)
+  end
+
+(* Quickselect of decreasing rank [t]: afterwards position [t] holds
+   it, [0, t) nothing after it and (t, m) nothing before it.  A round
+   that fails to halve the live range is unproductive; after
+   [2 log2 m] of those the rest of the range is sorted outright, so the
+   worst case stays O(m log m). *)
+let select_rank w ids perm bounds m t =
+  let lo = ref 0 and hi = ref (m - 1) in
+  let budget = ref (2 * log2 m) in
+  while !lo < !hi do
+    let len = !hi - !lo + 1 in
+    if len <= small || !budget = 0 then begin
+      sort_range w ids perm bounds !lo !hi (2 * log2 len);
+      lo := !hi
+    end
+    else begin
+      partition w ids perm bounds !lo !hi (median3 w ids !lo !hi);
+      let j = bounds.(0) and i = bounds.(1) in
+      if t <= j then hi := j
+      else if t >= i then lo := i
+      else lo := !hi;
+      if 2 * (!hi - !lo + 1) > len then decr budget
+    end
+  done
+
+(* The key arrays live in per-domain buffers that only grow: a fresh
+   set per call would land on the major heap (they exceed the minor
+   heap's size limit at a few hundred candidates) and cost more than
+   the selection.  A call takes the set out of its slot and puts it
+   back when done, so a [key] or [id] that re-enters [top_k_by], or
+   raises, only costs a fresh set. *)
+type buffers = {
+  w : float array;
+  ids : int array;
+  perm : int array;
+}
+
+let no_buffers = { w = [||]; ids = [||]; perm = [||] }
+
+let buffers = Domain.DLS.new_key (fun () -> ref no_buffers)
+
+let take_buffers m =
+  let slot = Domain.DLS.get buffers in
+  let b = !slot in
+  slot := no_buffers;
+  if Array.length b.ids >= m then b
+  else
+    let cap = max m (2 * Array.length b.ids) in
+    let ids = Array.make cap 0 and perm = Array.make cap 0 in
+    { w = Array.create_float cap; ids; perm }
+
+let top_k_by ~key ~id k xs =
+  let m = List.length xs in
+  if k <= 0 || m = 0 then []
+  else begin
+    let b = take_buffers m in
+    let w = b.w and ids = b.ids and perm = b.perm in
+    List.iteri
+      (fun i e ->
+        Array.unsafe_set w i (key e);
+        Array.unsafe_set ids i (id e);
+        Array.unsafe_set perm i i)
+      xs;
+    let bounds = [| 0; 0 |] in
+    let k = if k < m then k else m in
+    if k < m then select_rank w ids perm bounds m (k - 1);
+    sort_range w ids perm bounds 0 (k - 1) (2 * log2 k);
+    (* Rank [r] of the answer is original index [perm.(r)]; [ids],
+       no longer needed as keys, maps original indices back to ranks
+       for one more walk of [xs]. *)
+    Array.fill ids 0 m (-1);
+    for r = 0 to k - 1 do
+      Array.unsafe_set ids (Array.unsafe_get perm r) r
+    done;
+    let out = Array.make k (List.hd xs) in
+    List.iteri
+      (fun i e ->
+        let r = Array.unsafe_get ids i in
+        if r >= 0 then Array.unsafe_set out r e)
+      xs;
+    Domain.DLS.get buffers := b;
+    Array.to_list out
   end

@@ -7,7 +7,17 @@ val top_k : cmp:('a -> 'a -> int) -> int -> 'a list -> 'a list
 (** [top_k ~cmp k xs] is the [k] largest elements of [xs] under [cmp],
     sorted descending.  Returns all of [xs] sorted descending when
     [length xs <= k].  Expected O(|xs| + k log k) via quickselect on an
-    internal RNG seeded deterministically. *)
+    internal RNG seeded deterministically (one stream per domain). *)
+
+val top_k_by : key:('a -> float) -> id:('a -> int) -> int -> 'a list -> 'a list
+(** [top_k_by ~key ~id k xs] is [top_k ~cmp k xs] for the order [cmp]
+    that compares [key] by [Float.compare] (NaN below every number) and
+    breaks ties by [id]: the [k] largest, sorted descending.  Each
+    element's key and id are read once into unboxed arrays; selection
+    is a median-of-3 quickselect with no RNG followed by a sort of the
+    [k] prefix, O(|xs| + k log k) expected and O(|xs| log |xs|) in the
+    worst case.  Elements equal on both key and id are interchangeable:
+    which of them is kept is unspecified. *)
 
 val quickselect : ?rng:Rng.t -> cmp:('a -> 'a -> int) -> 'a array -> int -> 'a
 (** [quickselect ~cmp arr i] is the element of rank [i] (0-based, from

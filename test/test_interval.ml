@@ -368,6 +368,111 @@ let prop_reductions_agree =
             ks)
         qs)
 
+(* --- Charging golden ---
+
+   Seeded Seg_stab and Theorem 2 builds, 256 fixed stab points: the
+   summed (ios, scanned) of every query family, and under a seeded
+   fault plan the (query, I/O) at which each Em_fault fires.  How a
+   scan is batched into [charge_scan] calls may change (DESIGN.md,
+   "Charging discipline"); these values may not.  Monitored limits
+   63/64/65/130 stop scans inside a node. *)
+
+module Stats = Topk_em.Stats
+module Fault = Topk_em.Fault
+
+let golden_points = Array.init 256 (fun i -> (float_of_int i +. 0.5) /. 256.)
+
+let golden_structures () =
+  let rng = Rng.create 2016 in
+  let elems =
+    I.of_spans rng (Gen.intervals rng ~shape:Gen.Mixed_intervals ~n:4096)
+  in
+  (elems, Seg.build elems, Inst.Topk_t2.build ~params:(Inst.params ()) elems)
+
+let measured f =
+  Array.fold_left
+    (fun (ios, scanned) q ->
+      let (), s = Stats.measure (fun () -> f q) in
+      (ios + s.Stats.ios, scanned + s.Stats.scanned))
+    (0, 0) golden_points
+
+(* Each query runs under [Stats.measure] (a fresh scan carry, as the
+   serving layer's [round_carry] gives it); the hook wrapper counts
+   block I/Os so a fault is located by the I/O that raised it. *)
+let fault_points f =
+  let ios = ref 0 in
+  let hook = !Stats.io_fault_hook in
+  Stats.io_fault_hook :=
+    (fun n ->
+      for _ = 1 to n do
+        incr ios;
+        hook 1
+      done);
+  Fun.protect
+    ~finally:(fun () -> Stats.io_fault_hook := hook)
+    (fun () ->
+      Fault.with_plan (Fault.plan ~seed:7 ~io_fault_rate:0.01 ()) (fun () ->
+          List.filter_map
+            (fun i ->
+              ios := 0;
+              match Stats.measure (fun () -> f golden_points.(i)) with
+              | _ -> None
+              | exception Fault.Em_fault _ -> Some (i, !ios))
+            (List.init (Array.length golden_points) Fun.id)))
+
+let test_charging_golden () =
+  let elems, seg, t2 = golden_structures () in
+  let weights = Array.map (fun (e : I.t) -> e.I.weight) elems in
+  Array.sort Float.compare weights;
+  let tau = weights.(Array.length weights / 2) in
+  let costs =
+    [ measured (fun q -> ignore (Seg.query seg q ~tau:Float.neg_infinity));
+      measured (fun q -> ignore (Seg.query seg q ~tau)) ]
+    @ List.map
+        (fun limit ->
+          measured (fun q ->
+              ignore
+                (Seg.query_monitored seg q ~tau:Float.neg_infinity ~limit)))
+        [ 0; 1; 5; 63; 64; 65; 130; 1000 ]
+    @ List.map
+        (fun k -> measured (fun q -> ignore (Inst.Topk_t2.query t2 q ~k)))
+        [ 1; 10; 100; 1000 ]
+  in
+  Alcotest.(check (list (pair int int)))
+    "(ios, scanned) per query family"
+    [ (7811, 33546); (7588, 16706);
+      (4050, 256); (4357, 512); (4890, 1534); (6492, 15579);
+      (6502, 15804); (6516, 16028); (7241, 28731); (7811, 33546);
+      (8348, 67092); (8348, 67092); (8348, 67092); (16384, 1048576) ]
+    costs;
+  Alcotest.(check (list (pair int int)))
+    "theorem2 top-10 fault points"
+    [ (5, 21); (9, 11); (12, 1); (39, 28); (41, 15); (44, 12); (47, 21);
+      (50, 13); (57, 2); (60, 27); (72, 1); (77, 12); (78, 31); (80, 9);
+      (83, 19); (92, 21); (94, 4); (98, 23); (100, 24); (101, 29);
+      (110, 29); (113, 7); (124, 6); (126, 15); (131, 22); (132, 25);
+      (133, 28); (135, 30); (140, 11); (142, 11); (143, 16); (154, 15);
+      (163, 31); (165, 31); (166, 8); (167, 25); (173, 1); (174, 7);
+      (182, 27); (186, 22); (191, 8); (192, 25); (196, 18); (199, 17);
+      (202, 8); (203, 25); (207, 20); (208, 14); (209, 4); (211, 7);
+      (216, 24); (222, 10); (223, 24); (224, 30); (225, 12); (227, 24);
+      (237, 2); (239, 20); (241, 6); (245, 1); (249, 20); (251, 26);
+      (252, 1); (254, 15) ]
+    (fault_points (fun q -> ignore (Inst.Topk_t2.query t2 q ~k:10)));
+  Alcotest.(check (list (pair int int)))
+    "seg_stab monitored (limit 130) fault points"
+    [ (5, 21); (9, 13); (12, 3); (41, 3); (43, 17); (46, 16); (49, 24);
+      (52, 18); (59, 20); (63, 12); (77, 2); (83, 7); (85, 3); (87, 15);
+      (91, 2); (102, 5); (104, 9); (109, 13); (112, 1); (114, 2);
+      (125, 26); (128, 19); (141, 16); (143, 22); (149, 23); (150, 25);
+      (152, 1); (155, 10); (161, 12); (163, 18); (164, 16); (178, 2);
+      (190, 1); (193, 11); (194, 8); (195, 25); (202, 9); (203, 7);
+      (213, 22); (218, 4); (223, 24); (224, 25); (228, 29); (231, 23);
+      (234, 14); (235, 25); (239, 29); (240, 14); (241, 4); (243, 11);
+      (249, 8); (255, 25) ]
+    (fault_points (fun q ->
+         ignore (Seg.query_monitored seg q ~tau:Float.neg_infinity ~limit:130)))
+
 let () =
   Alcotest.run "topk_interval"
     [
@@ -425,4 +530,7 @@ let () =
           Alcotest.test_case "degenerate k" `Quick test_topk_degenerate_k;
           QCheck_alcotest.to_alcotest prop_reductions_agree;
         ] );
+      ( "charging",
+        [ Alcotest.test_case "golden ios, scans and fault points" `Quick
+            test_charging_golden ] );
     ]

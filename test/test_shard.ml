@@ -114,6 +114,41 @@ let test_gather_merge () =
     (Gather.merge ~cmp:Int.compare ~k:0 [ [ 3; 2 ]; [ 1 ] ]);
   Alcotest.(check (list int)) "no inputs" [] (Gather.merge ~cmp:Int.compare ~k:5 [])
 
+(* The heap-of-slots merge against its definition (sort everything,
+   take k) on distinct values dealt into up to 6 descending legs, some
+   empty, with k up to past the total; the charge is one scanned
+   element per element taken. *)
+let prop_gather_merge_is_sort_take =
+  QCheck.Test.make ~count:300 ~name:"merge = sort-take-k, scanned = taken"
+    QCheck.(triple (int_bound 6) (int_bound 300) (int_bound 350))
+    (fun (legs, total, k) ->
+      let rng = Rng.create ((legs * 1000) + total + (k * 7)) in
+      let values = Array.init total (fun i -> i * 3) in
+      Rng.shuffle rng values;
+      let buckets = Array.make legs [] in
+      if legs > 0 then
+        Array.iter
+          (fun v ->
+            let b = Rng.int rng legs in
+            buckets.(b) <- v :: buckets.(b))
+          values;
+      let lists =
+        Array.to_list buckets
+        |> List.map (List.sort (fun a b -> Int.compare b a))
+      in
+      let expect =
+        (if legs = 0 then [] else Array.to_list values)
+        |> List.sort (fun a b -> Int.compare b a)
+        |> List.filteri (fun i _ -> i < k)
+      in
+      let got, cost =
+        Stats.measure (fun () -> Gather.merge ~cmp:Int.compare ~k lists)
+      in
+      got = expect
+      && cost.Stats.scanned = List.length got
+      && cost.Stats.ios
+         = List.length got / (Topk_em.Config.current ()).Topk_em.Config.b)
+
 let certified = Alcotest.(pair (list (float 1e-9)) bool)
 
 let mc ~k legs =
@@ -575,6 +610,7 @@ let () =
             test_gather_merge;
           Alcotest.test_case "certified merge semantics" `Quick
             test_gather_certified;
+          QCheck_alcotest.to_alcotest prop_gather_merge_is_sort_take;
         ] );
       ("planner-interval", F_interval.suite);
       ("planner-range", F_range.suite);

@@ -248,6 +248,103 @@ let prop_top_k_matches_sort =
       in
       Select.top_k ~cmp:Int.compare k xs = expected)
 
+(* [top_k_by] must pick physically the same elements, in the same
+   order, as the reference [top_k ~cmp] under the (Float.compare
+   weight, id) order it hard-codes — on the shapes that break naive
+   float compares (NaN, ±inf, -0., duplicate weights) and naive
+   quickselects (sorted, reversed, constant, median-of-3 killers). *)
+
+type kv = { w : float; id : int }
+
+let kv_cmp a b =
+  match Float.compare a.w b.w with 0 -> Int.compare a.id b.id | c -> c
+
+let by_key k xs = Select.top_k_by ~key:(fun e -> e.w) ~id:(fun e -> e.id) k xs
+
+let same_elements a b =
+  List.length a = List.length b && List.for_all2 ( == ) a b
+
+let kvs weights = List.mapi (fun id w -> { w; id }) (Array.to_list weights)
+
+(* Musser's median-of-3 killer sequence of even length [m]. *)
+let m3_killer m =
+  let h = m / 2 in
+  Array.init m (fun i ->
+      let i = i + 1 in
+      if i <= h then float_of_int (if i mod 2 = 1 then i else h + i - 1)
+      else float_of_int (2 * (i - h)))
+
+let select_shapes m =
+  let rng = Rng.create (41 + m) in
+  let specials = [| Float.nan; Float.infinity; Float.neg_infinity; -0.; 0. |] in
+  [
+    ("distinct", Array.init m (fun _ -> Rng.float rng 1.));
+    ("duplicates", Array.init m (fun _ -> float_of_int (Rng.int rng 4)));
+    ( "nan and inf",
+      Array.init m (fun i ->
+          if i mod 3 = 0 then specials.(Rng.int rng (Array.length specials))
+          else Rng.float rng 2. -. 1.) );
+    ("sorted", Array.init m float_of_int);
+    ("reversed", Array.init m (fun i -> float_of_int (m - i)));
+    ("constant", Array.make m 1.);
+    ("median-of-3 killer", m3_killer m);
+    ( "reversed killer",
+      let a = m3_killer m in
+      Array.init m (fun i -> a.(m - 1 - i)) );
+    ("organ pipe", Array.init m (fun i -> float_of_int (min i (m - 1 - i))));
+  ]
+
+let test_top_k_by_shapes () =
+  List.iter
+    (fun m ->
+      List.iter
+        (fun (shape, weights) ->
+          let xs = kvs weights in
+          List.iter
+            (fun k ->
+              if
+                not
+                  (same_elements (Select.top_k ~cmp:kv_cmp k xs) (by_key k xs))
+              then Alcotest.failf "%s m=%d k=%d: top_k_by differs" shape m k)
+            (List.sort_uniq Int.compare [ 0; 1; m - 1; m; m + 3; m / 2; 10 ]))
+        (select_shapes m))
+    [ 0; 1; 2; 3; 16; 17; 100; 521; 2048 ]
+
+let prop_top_k_by_matches_top_k =
+  let weight =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map float_of_int (int_range (-3) 3));
+          (3, float);
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0. ]);
+        ])
+  in
+  QCheck.Test.make ~count:300 ~name:"top_k_by = top_k ~cmp, same elements"
+    QCheck.(pair (make Gen.(list_size (int_bound 300) weight)) small_nat)
+    (fun (ws, k) ->
+      let xs = kvs (Array.of_list ws) in
+      same_elements (Select.top_k ~cmp:kv_cmp k xs) (by_key k xs))
+
+(* Callers that pass no [?rng] draw pivots from a per-domain stream
+   with one seed: two fresh domains permute the same input
+   identically, however much the first one drew. *)
+let test_default_rng_per_domain () =
+  let input = Array.init 500 (fun i -> (i * 7919) mod 500) in
+  let permute () =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let arr = Array.copy input in
+           ignore (Select.quickselect ~cmp:Int.compare arr 250);
+           for _ = 1 to 10 do
+             ignore (Select.quickselect ~cmp:Int.compare (Array.copy input) 17)
+           done;
+           arr))
+  in
+  let first = permute () in
+  Alcotest.(check (array int)) "fresh domains replay one stream" first
+    (permute ())
+
 (* --- Search --- *)
 
 let test_bounds () =
@@ -383,6 +480,11 @@ let () =
           Alcotest.test_case "top_k" `Quick test_top_k;
           Alcotest.test_case "nth_largest" `Quick test_nth_largest;
           QCheck_alcotest.to_alcotest prop_top_k_matches_sort;
+          Alcotest.test_case "top_k_by on adversarial shapes" `Quick
+            test_top_k_by_shapes;
+          QCheck_alcotest.to_alcotest prop_top_k_by_matches_top_k;
+          Alcotest.test_case "default rng per domain" `Quick
+            test_default_rng_per_domain;
         ] );
       ( "search",
         [
