@@ -98,6 +98,41 @@ let serving_kernel_tests () =
            ignore (Topk_shard.Gather.merge ~cmp ~k:100 (next legs4))));
   ]
 
+(* The pool hand-off on its own: one Theorem 2 top-10 submitted to a
+   1-worker pool and awaited, next to the same query run on the
+   calling domain through [Client.direct].  The difference is what a
+   scatter leg pays to cross domains.  The pool lives only while its
+   row runs, so its domains do not disturb the other rows. *)
+let service_tests () =
+  let module Svc = Topk_service in
+  let elems = Workloads.intervals ~seed:914 ~shape:Gen.Mixed_intervals ~n in
+  let queries = Workloads.stab_queries ~seed:915 ~n:64 in
+  let t2 = I_inst.Topk_t2.build ~params:(I_inst.params ()) elems in
+  let h =
+    Svc.Registry.register (Svc.Registry.create ()) ~name:"itv"
+      (module I_inst.Topk_t2) t2
+  in
+  let direct =
+    Svc.Client.attach (Svc.Client.create ~cache:false ()) (Svc.Client.direct h)
+  in
+  let cursor = ref 0 in
+  let next () =
+    cursor := (!cursor + 1) mod Array.length queries;
+    queries.(!cursor)
+  in
+  [
+    Test.make ~name:"service/direct thm2 top-10"
+      (Staged.stage (fun () ->
+           ignore (Svc.Client.query_sync direct (next ()) ~k:10)));
+    Test.make_with_resource ~name:"service/pool-roundtrip thm2 top-10"
+      Test.uniq
+      ~allocate:(fun () -> Svc.Executor.create ~workers:1 ())
+      ~free:Svc.Executor.shutdown
+      (Staged.stage (fun pool ->
+           ignore
+             (Svc.Future.await (Svc.Executor.submit pool h (next ()) ~k:10))));
+  ]
+
 let dynamic_tests () =
   let rng = Rng.create 902 in
   let s = I_inst.Dyn_topk.build ~params:(I_inst.params ()) [||] in
@@ -199,16 +234,25 @@ let dominance_tests () =
 
 let run () =
   Table.section "Bechamel wall-clock microbenchmarks (ns per query)";
-  let tests =
-    Test.make_grouped ~name:"topk"
+  let bench ~stabilize tests =
+    Benchmark.all
+      (Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) ~kde:None
+         ~stabilize ())
+      [ Toolkit.Instance.monotonic_clock ]
+      (Test.make_grouped ~name:"topk" tests)
+  in
+  let raw =
+    bench ~stabilize:true
       (interval_tests () @ serving_kernel_tests () @ dynamic_tests ()
       @ halfplane_tests ()
       @ kd_tests () @ enclosure_tests () @ dominance_tests ())
   in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
+  (* The service rows skip GC stabilisation: its full major collection
+     before every sample outlasts the worker's spin and parks it, so
+     each sample would open with a cold wake-up instead of the steady
+     hand-off the rows are for. *)
+  Hashtbl.iter (Hashtbl.replace raw)
+    (bench ~stabilize:false (service_tests ()));
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in

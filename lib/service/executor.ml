@@ -34,11 +34,15 @@ type t = {
   not_full : Condition.t;   (* signalled when queue space frees up *)
   idle : Condition.t;       (* signalled when the pool fully drains *)
   sched : Request.t Sched.t;  (* the multi-lane queue; under [mutex] *)
+  queued : int Atomic.t;
+      (* [Sched.length sched], written under [mutex]; read without it
+         by the idle worker that spins *)
+  spinning : bool Atomic.t;  (* an idle worker is spinning on [queued] *)
   mutable parked : (float * Request.t) list;  (* backoff: (ready_at, req) *)
   batch_max : int;
   retry : retry_policy;
   rand : Random.State.t;  (* backoff jitter; under [mutex] *)
-  mutable stopping : bool;
+  stopping : bool Atomic.t;  (* set once, under [mutex] *)
   mutable pending : int;  (* queued + parked + in-flight requests *)
   slots : slot array;
   mutable supervisor : unit Domain.t option;
@@ -116,7 +120,7 @@ let backoff_delay t attempt =
 let park t job delay =
   let decision =
     Mutex.protect t.mutex (fun () ->
-        if t.stopping then `Abort
+        if Atomic.get t.stopping then `Abort
         else begin
           t.parked <- (Clock.now () +. delay, job) :: t.parked;
           `Parked
@@ -164,22 +168,42 @@ let process_job t idx job =
         park t job (backoff_delay t attempt)
       end
 
+(* An idle worker spins on [queued] for [Spin.bound] before it takes
+   the mutex and parks on [not_empty]: a job submitted within the
+   bound is picked up without a futex wake-up.  At most one worker
+   spins at a time; the others park at once, as an idle pool should
+   cost no more than one core. *)
+let spin_for_work t slot =
+  if Atomic.get t.queued = 0 && Atomic.compare_and_set t.spinning false true
+  then begin
+    ignore
+      (Spin.until (fun () ->
+           Atomic.get t.queued > 0 || Atomic.get slot.kill
+           || Atomic.get t.stopping)
+        : bool);
+    Atomic.set t.spinning false
+  end
+
 let pop_batch t idx =
   let slot = t.slots.(idx) in
+  spin_for_work t slot;
   Mutex.protect t.mutex (fun () ->
       while
-        Sched.is_empty t.sched && not t.stopping && not (Atomic.get slot.kill)
+        Sched.is_empty t.sched
+        && (not (Atomic.get t.stopping))
+        && not (Atomic.get slot.kill)
       do
         Condition.wait t.not_empty t.mutex
       done;
       if Atomic.get slot.kill then raise Killed;
-      if t.stopping then []
+      if Atomic.get t.stopping then []
         (* New backlog is not served once stopping: the shutdown sweep
            resolves whatever is still queued as [Failed "shutdown"]. *)
       else
         match Sched.pop_batch t.sched ~max:t.batch_max with
         | None -> assert false (* the wait loop held the mutex: non-empty *)
         | Some (_, popped) ->
+            ignore (Atomic.fetch_and_add t.queued (-List.length popped) : int);
             List.iter
               (fun (job, waited) ->
                 Metrics.Histogram.observe
@@ -235,6 +259,7 @@ let supervisor_tick t =
                  pending slot, and blocking the supervisor on a full
                  lane would stall respawns. *)
               Sched.push t.sched (lane_of job) job;
+              Atomic.incr t.queued;
               Metrics.Gauge.incr t.metrics.queue_depth;
               Metrics.Gauge.incr
                 t.metrics.lane_depth.(Lane.index (lane_of job));
@@ -258,7 +283,7 @@ let supervisor_tick t =
 
 let supervisor_loop t =
   let rec loop () =
-    if Mutex.protect t.mutex (fun () -> t.stopping) then ()
+    if Atomic.get t.stopping then ()
     else begin
       supervisor_tick t;
       Unix.sleepf 5e-4;
@@ -326,11 +351,13 @@ let create ?workers ?(queue_capacity = 1024) ?(batch_max = 32)
       not_full = Condition.create ();
       idle = Condition.create ();
       sched;
+      queued = Atomic.make 0;
+      spinning = Atomic.make false;
       parked = [];
       batch_max;
       retry;
       rand = Random.State.make [| seed |];
-      stopping = false;
+      stopping = Atomic.make false;
       pending = 0;
       slots =
         Array.init n_workers (fun _ ->
@@ -394,6 +421,7 @@ let admit t lane =
 
 let accept_locked t lane req =
   Sched.push t.sched lane req;
+  Atomic.incr t.queued;
   t.pending <- t.pending + 1;
   Metrics.Gauge.incr t.metrics.queue_depth;
   Metrics.Gauge.incr t.metrics.lane_depth.(Lane.index lane);
@@ -404,21 +432,23 @@ let accept_locked t lane req =
 let enqueue_blocking t req =
   let lane = lane_of req in
   Mutex.protect t.mutex (fun () ->
-      if t.stopping then shut_down ();
+      if Atomic.get t.stopping then shut_down ();
       admit t lane;
       (* Backpressure is per lane: a full batch lane blocks only batch
          producers; interactive submissions keep flowing. *)
-      while not (Sched.has_room t.sched lane) && not t.stopping do
+      while
+        (not (Sched.has_room t.sched lane)) && not (Atomic.get t.stopping)
+      do
         Condition.wait t.not_full t.mutex
       done;
-      if t.stopping then shut_down ();
+      if Atomic.get t.stopping then shut_down ();
       accept_locked t lane req)
 
 let enqueue_nonblocking t req =
   let lane = lane_of req in
   let accepted =
     Mutex.protect t.mutex (fun () ->
-        if t.stopping then shut_down ();
+        if Atomic.get t.stopping then shut_down ();
         if not (Breaker.admit t.breakers.(Lane.index lane) ~now:(Clock.now ()))
         then begin
           Metrics.Counter.incr t.metrics.breaker_rejected;
@@ -464,7 +494,7 @@ let drain t =
 let shutdown t =
   let sup =
     Mutex.protect t.mutex (fun () ->
-        t.stopping <- true;
+        Atomic.set t.stopping true;
         Condition.broadcast t.not_empty;
         Condition.broadcast t.not_full;
         let s = t.supervisor in
@@ -480,6 +510,7 @@ let shutdown t =
   let queued, parked =
     Mutex.protect t.mutex (fun () ->
         let queued = Sched.drain_all t.sched in
+        Atomic.set t.queued 0;
         let parked = List.map snd t.parked in
         t.parked <- [];
         let dropped = List.length queued + List.length parked in

@@ -5,7 +5,9 @@
     are static or rebuilt wholesale), so a single snapshot is shared by
     every worker with no per-query synchronisation; the only contended
     state is the scheduler itself, and workers amortise that by popping
-    requests in batches of up to [batch_max].
+    requests in batches of up to [batch_max].  An idle worker polls for
+    new work for {!Spin.bound} before it blocks; at most one worker
+    polls at a time.
 
     {b QoS lanes.}  Every submission is tagged with a {!Lane.t}
     (queries default to [Interactive], tasks to [Batch]); each lane

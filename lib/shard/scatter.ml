@@ -6,8 +6,6 @@ module Future = Topk_service.Future
 module Metrics = Topk_service.Metrics
 module Limits = Topk_service.Limits
 module Tr = Topk_trace.Trace
-module Cache = Topk_cache.Cache
-module Version = Topk_cache.Version
 module Clock = Topk_util.Clock
 
 module Make
@@ -23,7 +21,6 @@ struct
     handles : (P.query, P.elem) Registry.handle array;
     wave : int;
     name : string;  (* registration prefix; also the trace instance *)
-    cache : P.elem list Cache.t option;  (* per-leg answer cache *)
   }
 
   type result = {
@@ -36,7 +33,7 @@ struct
     empty : int;
   }
 
-  let create ?wave ?cache pool registry ~name set =
+  let create ?wave pool registry ~name set =
     let wave =
       match wave with Some w -> w | None -> Executor.worker_count pool
     in
@@ -51,7 +48,7 @@ struct
             (module T) sh.SS.topk)
         (SS.shards set)
     in
-    { pool; set; handles; wave; name; cache }
+    { pool; set; handles; wave; name }
 
   let wave t = t.wave
 
@@ -73,15 +70,6 @@ struct
         invalid_arg
           (Printf.sprintf "Scatter.query: budget must be >= 0 (got %d)" b)
     | _ -> ());
-    (* Per-leg caching is sound only on the unbudgeted path: under a
-       budget the pool may return a cutoff prefix where the cache would
-       serve a complete answer.  Shards are immutable, so entries live
-       at {!Version.static} and never go stale. *)
-    let leg_cache =
-      match (t.cache, limits.Limits.budget) with
-      | Some c, None -> Some (c, Marshal.to_string q [])
-      | _ -> None
-    in
     let started = Clock.now () in
     (* Anchor a relative timeout once, here: every per-shard leg then
        shares the same absolute deadline instead of restarting the
@@ -129,24 +117,46 @@ struct
             List.sort (fun (_, a) (_, b) -> Float.compare b a) !bounded
           in
           (* Phase 2: waves of per-shard jobs through the pool.
-             [candidates] is the running global top-k over every element
-             gathered so far — each is a real matching element, so its
-             k-th weight is a sound pruning threshold whether or not
-             legs were cut off.  [legs] keeps the per-shard certified
-             answers for the final join. *)
+             [top.(0 .. filled-1)] holds, decreasing, the k heaviest
+             weights gathered so far.  Each is the weight of a real
+             matching element, so once [filled = k], [top.(k-1)] is a
+             sound pruning threshold whether or not legs were cut off.
+             The buffer needs no more than [SS.size] slots.  [legs]
+             keeps the per-shard certified answers for the final
+             join. *)
           let legs = ref [] in
-          let candidates = ref [] in
+          let cap = Int.min k (SS.size t.set) in
+          let top = Array.make cap Float.neg_infinity
+          and scratch = Array.make cap Float.neg_infinity
+          and filled = ref 0 in
+          (* Merge a leg's decreasing answers into [top], through
+             [scratch], keeping the [cap] heaviest. *)
+          let admit answers =
+            let rec go n i l =
+              if n = cap then n
+              else
+                match l with
+                | e :: rest
+                  when i >= !filled
+                       || Float.compare (P.weight e) top.(i) > 0 ->
+                    scratch.(n) <- P.weight e;
+                    go (n + 1) i rest
+                | _ when i < !filled ->
+                    scratch.(n) <- top.(i);
+                    go (n + 1) (i + 1) l
+                | _ -> n
+            in
+            let n = go 0 0 answers in
+            Array.blit scratch 0 top 0 n;
+            filled := n
+          in
           let status = ref Response.Complete in
           let leg_cost = ref Stats.zero_snapshot in
           let fanout = ref 0 and pruned = ref 0 in
-          let kth_weight () =
-            if List.length !candidates < k then Float.neg_infinity
-            else P.weight (List.nth !candidates (k - 1))
-          in
           let rec waves remaining =
             (* Bounds are exact maxima of disjoint shards: [ub < kth]
                proves the shard cannot contribute to the global top-k. *)
-            let th = kth_weight () in
+            let th = if !filled < k then Float.neg_infinity else top.(k - 1) in
             let live, dead =
               List.partition (fun (_, ub) -> ub >= th) remaining
             in
@@ -162,64 +172,22 @@ struct
             | [] -> ()
             | _ ->
                 let now_wave, rest = take t.wave live in
-                let leg_name i =
-                  (Registry.info t.handles.(i)).Registry.name
-                in
-                let consult i =
-                  match leg_cache with
-                  | None -> None
-                  | Some (c, qkey) -> (
-                      let ts = Clock.now () in
-                      match
-                        Cache.find c ~instance:(leg_name i) ~qkey
-                          ~current:Version.static ~k ~now:ts ()
-                      with
-                      | Cache.Hit e ->
-                          Metrics.Counter.incr m.Metrics.cache_hits;
-                          Metrics.Histogram.observe m.Metrics.cache_hit_age_us
-                            (int_of_float
-                               ((ts -. e.Cache.e_inserted) *. 1e6));
-                          Tr.event "cache.hit"
-                            ~attrs:[ ("shard", Tr.Int i) ];
-                          Some (fst (take k e.Cache.e_payload))
-                      | Cache.Stale | Cache.Miss ->
-                          Metrics.Counter.incr m.Metrics.cache_misses;
-                          None)
-                in
-                (* Submit every missed leg of the wave before gathering
-                   any of them, so cached legs cost no parallelism. *)
-                let jobs =
+                (* Submit the whole wave before gathering any leg.
+                   Legs inherit the logical query's lane (and, via
+                   [leg_limits], its absolute deadline): a fan-out
+                   never changes the priority of the work it is part
+                   of. *)
+                let futs =
                   List.map
                     (fun (i, _) ->
-                      match consult i with
-                      | Some answers -> (i, `Hit answers)
-                      | None ->
-                          ( i,
-                            `Fut
-                              (* Legs inherit the logical query's lane
-                                 (and, via [leg_limits], its absolute
-                                 deadline): a fan-out never changes the
-                                 priority of the work it is part of. *)
-                              (Executor.submit t.pool t.handles.(i) ~lane
-                                 ~limits:leg_limits q ~k) ))
+                      ( i,
+                        Executor.submit t.pool t.handles.(i) ~lane
+                          ~limits:leg_limits q ~k ))
                     now_wave
                 in
+                fanout := !fanout + List.length futs;
                 List.iter
-                  (fun (_, job) ->
-                    match job with
-                    | `Fut _ -> incr fanout
-                    | `Hit _ -> ())
-                  jobs;
-                List.iter
-                  (fun (i, job) ->
-                    match job with
-                    | `Hit answers ->
-                        (* A cached leg is a complete certified answer,
-                           served with zero charged I/O. *)
-                        legs := (answers, true) :: !legs;
-                        candidates :=
-                          Gather.union ~cmp:W.compare ~k !candidates answers
-                    | `Fut fut ->
+                  (fun (i, fut) ->
                     let r =
                       Tr.with_span "scatter.leg"
                         ~attrs:[ ("shard", Tr.Int i) ]
@@ -251,29 +219,12 @@ struct
                     | Response.Complete -> legs := (answers, true) :: !legs
                     | Response.Cutoff_budget | Response.Cutoff_deadline ->
                         legs := (answers, false) :: !legs);
-                    (match (leg_cache, r.Response.status) with
-                    | Some (c, qkey), Response.Complete -> (
-                        match
-                          Cache.admit c ~instance:(leg_name i) ~qkey
-                            ~version:Version.static ~k
-                            ~len:(List.length answers)
-                            ~cost:(Response.cost r).Stats.ios
-                            ~now:(Clock.now ()) answers
-                        with
-                        | `Bypassed ->
-                            Metrics.Counter.incr m.Metrics.cache_bypasses
-                        | `Admitted ->
-                            Tr.event "cache.admit"
-                              ~attrs:[ ("shard", Tr.Int i) ]
-                        | `Superseded -> ())
-                    | _ -> ());
                     (* Resident bookkeeping between waves: the leg's
                        reporting cost was charged worker-side;
                        [merge_certified] below is the single charged
                        gather pass. *)
-                    candidates :=
-                      Gather.union ~cmp:W.compare ~k !candidates answers)
-                  jobs;
+                    admit answers)
+                  futs;
                 waves rest
           in
           waves order;

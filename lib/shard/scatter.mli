@@ -54,7 +54,6 @@ module Make
 
   val create :
     ?wave:int ->
-    ?cache:SS.P.elem list Topk_cache.Cache.t ->
     Topk_service.Executor.t ->
     Topk_service.Registry.t ->
     name:string ->
@@ -64,15 +63,6 @@ module Make
       ["name#i"] and return the fan-out front-end.  [wave] (default:
       the pool's worker count) is the number of shard jobs in flight
       per gathering round.
-
-      [cache] enables per-leg answer caching: before a shard job is
-      submitted, the cache is consulted under the leg's registry name;
-      a hit joins the gather as a complete certified leg with zero
-      charged I/O (and no pool submission), and completed legs are
-      admitted back, tagged {!Topk_cache.Version.static} (the shard
-      snapshot is immutable).  Legs run under an I/O budget bypass the
-      cache entirely, so caching never changes an answer.
-      Hits/misses/bypasses land in the pool's metrics.
       @raise Invalid_argument on [wave <= 0] or a duplicate name. *)
 
   val wave : t -> int

@@ -18,6 +18,7 @@ module Limits = Topk_service.Limits
 module Future = Topk_service.Future
 module Metrics = Topk_service.Metrics
 module Error = Topk_service.Error
+module Clock = Topk_util.Clock
 
 let interval_ids = List.map (fun (e : I.t) -> e.I.id)
 
@@ -329,6 +330,41 @@ let test_shutdown_resolves_queued_futures () =
     "aborted counter" 4
     (Metrics.Counter.get m.Metrics.aborted)
 
+(* The idle worker spins on the queue for [Spin.bound] before it
+   parks.  A kill or a shutdown issued right after a request resolves
+   (while the only worker is most likely spinning) must still take
+   effect: the killed worker is respawned and counted, and shutdown
+   returns. *)
+let test_kill_and_shutdown_while_spinning () =
+  Atomic.set toy_behaviour `Ok;
+  let h = toy_handle () in
+  let status fut = Response.status_string (Future.await fut).Response.status in
+  let pool = Executor.create ~workers:1 () in
+  let m = Executor.metrics pool in
+  let kills = 5 in
+  for i = 1 to kills do
+    Alcotest.(check string) "served before the kill" "complete"
+      (status (Executor.submit pool h () ~k:2));
+    Executor.inject_worker_crash pool 0;
+    let deadline = Clock.now () +. 5. in
+    while
+      Metrics.Counter.get m.Metrics.respawns < i && Clock.now () < deadline
+    do
+      Unix.sleepf 0.001
+    done;
+    Alcotest.(check int) "respawn counted" i
+      (Metrics.Counter.get m.Metrics.respawns)
+  done;
+  Alcotest.(check string) "respawned worker serves" "complete"
+    (status (Executor.submit pool h () ~k:2));
+  Executor.shutdown pool;
+  for _ = 1 to 5 do
+    let pool = Executor.create ~workers:1 () in
+    Alcotest.(check string) "served before shutdown" "complete"
+      (status (Executor.submit pool h () ~k:2));
+    Executor.shutdown pool
+  done
+
 (* The circuit breaker: persistent failures trip it open (submissions
    shed load), the open window expires into half-open probing, and
    probe successes close it again. *)
@@ -526,6 +562,102 @@ let test_metrics_report () =
   Alcotest.(check int) "p99 clamps to max" 1000
     (Metrics.Histogram.percentile m.Metrics.recovery_time_us 0.99)
 
+(* --- Future: the atomic cell behind every pool hand-off --- *)
+
+(* Run [fs] on their own domains, released together so they race. *)
+let race fs =
+  let ready = Atomic.make 0 and go = Atomic.make false in
+  let ds =
+    List.map
+      (fun f ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            f ()))
+      fs
+  in
+  while Atomic.get ready < List.length fs do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set go true;
+  List.map Domain.join ds
+
+(* A value crosses domains both while the awaiter spins (immediate
+   fill) and after it has parked (fill after a sleep of many spin
+   bounds), with two awaiters on one future. *)
+let test_future_cross_domain () =
+  List.iter
+    (fun delay ->
+      for round = 1 to 20 do
+        let fut = Future.create () in
+        let other = Domain.spawn (fun () -> Future.await fut) in
+        let filler =
+          Domain.spawn (fun () ->
+              if delay > 0. then Unix.sleepf delay;
+              Future.fill fut round)
+        in
+        Alcotest.(check int) "awaiter sees the value" round (Future.await fut);
+        Alcotest.(check int) "second awaiter too" round (Domain.join other);
+        Domain.join filler
+      done)
+    [ 0.; 20. *. Topk_service.Spin.bound ]
+
+(* [on_fill] runs each callback exactly once, whether it is registered
+   before the fill, after it, or concurrently with it from another
+   domain; a raising callback neither stops the others nor unpublishes
+   the value. *)
+let test_future_on_fill_once () =
+  let fut = Future.create () in
+  let before = Atomic.make 0 and after = Atomic.make 0 in
+  Future.on_fill fut (fun v -> Atomic.fetch_and_add before v |> ignore);
+  Alcotest.(check (option int)) "pending" None (Future.poll fut);
+  Alcotest.(check bool) "first fill wins" true (Future.try_fill fut 1);
+  Alcotest.(check bool) "second fill loses" false (Future.try_fill fut 2);
+  Future.on_fill fut (fun v -> Atomic.fetch_and_add after v |> ignore);
+  Alcotest.(check int) "registered before: once" 1 (Atomic.get before);
+  Alcotest.(check int) "registered after: once" 1 (Atomic.get after);
+  Alcotest.(check (option int)) "filled" (Some 1) (Future.poll fut);
+  let n = 200 in
+  for _ = 1 to 100 do
+    let fut = Future.create () and ran = Atomic.make 0 in
+    ignore
+      (race
+         [
+           (fun () ->
+             for _ = 1 to n do
+               Future.on_fill fut (fun () -> Atomic.incr ran)
+             done);
+           (fun () -> Future.fill fut ());
+         ]);
+    Alcotest.(check int) "concurrent registrations: each once" n
+      (Atomic.get ran);
+    Alcotest.(check (option unit)) "still filled" (Some ()) (Future.poll fut)
+  done;
+  let fut = Future.create () and ran = Atomic.make 0 in
+  Future.on_fill fut (fun () -> Atomic.incr ran);
+  Future.on_fill fut (fun () -> failwith "callback exploded");
+  Future.on_fill fut (fun () -> Atomic.incr ran);
+  Alcotest.check_raises "first callback error re-raised"
+    (Failure "callback exploded") (fun () -> Future.fill fut ());
+  Alcotest.(check int) "other callbacks ran" 2 (Atomic.get ran);
+  Alcotest.(check (option unit)) "value published" (Some ()) (Future.poll fut)
+
+(* Four domains race [try_fill]: exactly one wins, and its value is
+   the one every reader sees. *)
+let test_future_fill_race () =
+  for _ = 1 to 100 do
+    let fut = Future.create () in
+    let results =
+      race (List.init 4 (fun i () -> (i, Future.try_fill fut i)))
+    in
+    let winners = List.filter snd results in
+    Alcotest.(check int) "exactly one winner" 1 (List.length winners);
+    Alcotest.(check int) "winner's value" (fst (List.hd winners))
+      (Future.await fut)
+  done
+
 let () =
   Alcotest.run "service"
     [
@@ -546,6 +678,8 @@ let () =
             test_shutdown_resolves_queued_futures;
           Alcotest.test_case "breaker admission control" `Quick
             test_breaker_admission_control;
+          Alcotest.test_case "kill and shutdown while spinning" `Quick
+            test_kill_and_shutdown_while_spinning;
         ] );
       ( "registry",
         [
@@ -557,5 +691,14 @@ let () =
         [
           Alcotest.test_case "histogram" `Quick test_metrics_histogram;
           Alcotest.test_case "text exposition" `Quick test_metrics_report;
+        ] );
+      ( "future",
+        [
+          Alcotest.test_case "crosses domains, spinning or parked"
+            `Quick test_future_cross_domain;
+          Alcotest.test_case "on_fill runs exactly once" `Quick
+            test_future_on_fill_once;
+          Alcotest.test_case "try_fill race has one winner" `Quick
+            test_future_fill_race;
         ] );
     ]
