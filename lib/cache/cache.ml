@@ -1,12 +1,12 @@
 (* Sharded-by-key, mutex-striped certified answer cache.
 
-   Entries memoize the answer list of a completed top-k query, keyed
+   Entries memoize the answers of a completed top-k query, keyed
    by (instance name, canonical query key) and tagged with the
    {!Version} they were computed at.  The stripe a key lands on is a
    hash of the key, so concurrent lookups of different hot keys take
    different locks; one stripe's mutex is only ever held for a
-   hashtable probe or an O(stripe) eviction scan, never across user
-   code.
+   hashtable probe and an O(1) relink of its recency list, never
+   across user code.
 
    Three design points, mirroring the paper's core-set economics:
 
@@ -39,18 +39,37 @@ type 'v entry = {
   mutable e_hits : int;
 }
 
-type 'v slot = { mutable sl_entry : 'v entry; mutable sl_stamp : int }
+(* A stripe keeps its recency order in a doubly linked list over
+   positions [0, s_cap) of three parallel arrays, with position [s_cap]
+   the sentinel: [s_next.(s_cap)] is the most recently used position
+   and [s_prev.(s_cap)] the least.  The links are [int] arrays, so
+   relinking a slot on a hit stores immediates and pays no write
+   barrier.  Free positions are chained through [s_next] from
+   [s_free] ([-1]: the stripe is full). *)
+type 'v slot = { mutable sl_entry : 'v entry; sl_pos : int }
+
+(* Keys are strings: compare them with [String.equal] rather than the
+   polymorphic compare of the generic [Hashtbl]. *)
+module Tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
 
 type 'v stripe = {
   s_mutex : Mutex.t;
-  s_tbl : (string, 'v slot) Hashtbl.t;
-  mutable s_tick : int;  (* LRU clock: bumped on every hit/admit *)
+  s_tbl : 'v slot Tbl.t;
+  s_cap : int;
+  s_keys : string array;  (* key held at each position, for eviction *)
+  s_prev : int array;
+  s_next : int array;
+  mutable s_free : int;
 }
 
 type 'v t = {
   stripes : 'v stripe array;
   mask : int;
-  per_stripe_cap : int;
   ttl : float option;
   min_cost : int;
   on_evict : (unit -> unit) option;
@@ -75,6 +94,61 @@ type stats = {
 
 let rec pow2_at_least n p = if p >= n then p else pow2_at_least n (2 * p)
 
+let rec pow2_at_most n p = if 2 * p > n then p else pow2_at_most n (2 * p)
+
+(* Empty list, every position free. *)
+let reset_links s =
+  let cap = s.s_cap in
+  Array.fill s.s_keys 0 cap "";
+  s.s_prev.(cap) <- cap;
+  s.s_next.(cap) <- cap;
+  for i = 0 to cap - 1 do
+    s.s_next.(i) <- (if i + 1 < cap then i + 1 else -1)
+  done;
+  s.s_free <- 0
+
+let make_stripe cap =
+  let s =
+    {
+      s_mutex = Mutex.create ();
+      s_tbl = Tbl.create cap;  (* a stripe never holds more than [cap] *)
+      s_cap = cap;
+      s_keys = Array.make cap "";
+      s_prev = Array.make (cap + 1) 0;
+      s_next = Array.make (cap + 1) 0;
+      s_free = 0;
+    }
+  in
+  reset_links s;
+  s
+
+let unlink s i =
+  let p = s.s_prev.(i) and n = s.s_next.(i) in
+  s.s_next.(p) <- n;
+  s.s_prev.(n) <- p
+
+let push_front s i =
+  let sentinel = s.s_cap in
+  let h = s.s_next.(sentinel) in
+  s.s_next.(i) <- h;
+  s.s_prev.(i) <- sentinel;
+  s.s_prev.(h) <- i;
+  s.s_next.(sentinel) <- i
+
+let touch s i =
+  if s.s_next.(s.s_cap) <> i then begin
+    unlink s i;
+    push_front s i
+  end
+
+(* Drop [key], held at position [i], and free the position. *)
+let remove s key i =
+  Tbl.remove s.s_tbl key;
+  unlink s i;
+  s.s_keys.(i) <- "";
+  s.s_next.(i) <- s.s_free;
+  s.s_free <- i
+
 let create ?(stripes = 8) ?(capacity = 4096) ?ttl ?(min_cost = 1) ?on_evict ()
     =
   if stripes < 1 then
@@ -90,17 +164,15 @@ let create ?(stripes = 8) ?(capacity = 4096) ?ttl ?(min_cost = 1) ?on_evict ()
   if min_cost < 0 then
     invalid_arg
       (Printf.sprintf "Cache.create: min_cost must be >= 0 (got %d)" min_cost);
-  let stripes = pow2_at_least stripes 1 in
+  (* No more stripes than entries, and the first [capacity mod n]
+     stripes take one extra slot, so the stripes hold exactly
+     [capacity] between them. *)
+  let n = min (pow2_at_least stripes 1) (pow2_at_most capacity 1) in
   {
     stripes =
-      Array.init stripes (fun _ ->
-          {
-            s_mutex = Mutex.create ();
-            s_tbl = Hashtbl.create 64;
-            s_tick = 0;
-          });
-    mask = stripes - 1;
-    per_stripe_cap = max 1 (capacity / stripes);
+      Array.init n (fun i ->
+          make_stripe ((capacity / n) + if i < capacity mod n then 1 else 0));
+    mask = n - 1;
     ttl;
     min_cost;
     on_evict;
@@ -142,12 +214,12 @@ let find t ~instance ~qkey ~current ?(consistency = Consistency.Any) ~k ~now
   let s = stripe_of t key in
   let outcome, evicted =
     Mutex.protect s.s_mutex (fun () ->
-        match Hashtbl.find_opt s.s_tbl key with
-        | None -> (Miss, 0)
-        | Some slot ->
+        match Tbl.find s.s_tbl key with
+        | exception Not_found -> (Miss, 0)
+        | slot ->
             let e = slot.sl_entry in
             if expired t e ~now then begin
-              Hashtbl.remove s.s_tbl key;
+              remove s key slot.sl_pos;
               (Miss, 1)
             end
             else if
@@ -157,8 +229,7 @@ let find t ~instance ~qkey ~current ?(consistency = Consistency.Any) ~k ~now
               (* Serveable prefix: either the request fits inside the
                  stored rank range, or the stored list already
                  exhausted the matching set. *)
-              s.s_tick <- s.s_tick + 1;
-              slot.sl_stamp <- s.s_tick;
+              touch s slot.sl_pos;
               e.e_last_hit <- now;
               e.e_hits <- e.e_hits + 1;
               (Hit e, 0)
@@ -172,27 +243,21 @@ let find t ~instance ~qkey ~current ?(consistency = Consistency.Any) ~k ~now
   | Miss -> Atomic.incr t.misses);
   outcome
 
-(* Evict least-recently-used slots until the stripe fits.  The scan is
-   O(stripe size), which admission-gating keeps small and rare; in
-   exchange the order is exact LRU with no per-hit allocation. *)
-let evict_over_capacity t s =
-  let n = ref 0 in
-  while Hashtbl.length s.s_tbl > t.per_stripe_cap do
-    let victim =
-      Hashtbl.fold
-        (fun k slot acc ->
-          match acc with
-          | Some (_, stamp) when stamp <= slot.sl_stamp -> acc
-          | _ -> Some (k, slot.sl_stamp))
-        s.s_tbl None
-    in
-    match victim with
-    | None -> ()
-    | Some (k, _) ->
-        Hashtbl.remove s.s_tbl k;
-        incr n
-  done;
-  !n
+(* A free position for a new key: the free list's head, or else the
+   least recently used position, whose entry is evicted.  O(1) either
+   way, and the victim is exactly the slot an exact LRU would pick. *)
+let claim s =
+  if s.s_free >= 0 then begin
+    let i = s.s_free in
+    s.s_free <- s.s_next.(i);
+    (i, 0)
+  end
+  else begin
+    let i = s.s_prev.(s.s_cap) in
+    Tbl.remove s.s_tbl s.s_keys.(i);
+    unlink s i;
+    (i, 1)
+  end
 
 let admit t ~instance ~qkey ~version ~k ~len ~cost ~now payload =
   if k < 0 then
@@ -206,38 +271,38 @@ let admit t ~instance ~qkey ~version ~k ~len ~cost ~now payload =
   else begin
     let key = key ~instance ~qkey in
     let s = stripe_of t key in
-    let fresh stamp =
+    let entry =
       {
-        sl_entry =
-          {
-            e_version = version;
-            e_k = k;
-            e_len = len;
-            e_cost = cost;
-            e_payload = payload;
-            e_inserted = now;
-            e_last_hit = now;
-            e_hits = 0;
-          };
-        sl_stamp = stamp;
+        e_version = version;
+        e_k = k;
+        e_len = len;
+        e_cost = cost;
+        e_payload = payload;
+        e_inserted = now;
+        e_last_hit = now;
+        e_hits = 0;
       }
     in
     let decision, evicted =
       Mutex.protect s.s_mutex (fun () ->
-          let install () =
-            s.s_tick <- s.s_tick + 1;
-            Hashtbl.replace s.s_tbl key (fresh s.s_tick);
-            let ev = evict_over_capacity t s in
-            (`Admitted, ev)
-          in
-          match Hashtbl.find_opt s.s_tbl key with
-          | None -> install ()
-          | Some slot ->
+          match Tbl.find s.s_tbl key with
+          | exception Not_found ->
+              let i, ev = claim s in
+              s.s_keys.(i) <- key;
+              push_front s i;
+              Tbl.replace s.s_tbl key { sl_entry = entry; sl_pos = i };
+              (`Admitted, ev)
+          | slot ->
               let e = slot.sl_entry in
+              let replace () =
+                slot.sl_entry <- entry;
+                touch s slot.sl_pos
+              in
               if expired t e ~now then begin
-                Hashtbl.remove s.s_tbl key;
-                let d, ev = install () in
-                (d, ev + 1)
+                (* The expired entry is reaped and the new one takes
+                   its place: one eviction, one admission. *)
+                replace ();
+                (`Admitted, 1)
               end
               else if Version.newer_than e.e_version version then
                 (* Never replace a fresher answer with a staler one:
@@ -248,7 +313,10 @@ let admit t ~instance ~qkey ~version ~k ~len ~cost ~now payload =
                 (* Same snapshot, already covering at least this rank
                    range — nothing to gain. *)
                 (`Superseded, 0)
-              else install ())
+              else begin
+                replace ();
+                (`Admitted, 0)
+              end)
     in
     report_evictions t evicted;
     (match decision with `Admitted -> Atomic.incr t.admits | `Superseded -> ());
@@ -260,11 +328,11 @@ let invalidate t ~instance ~qkey =
   let s = stripe_of t key in
   let removed =
     Mutex.protect s.s_mutex (fun () ->
-        if Hashtbl.mem s.s_tbl key then begin
-          Hashtbl.remove s.s_tbl key;
-          true
-        end
-        else false)
+        match Tbl.find s.s_tbl key with
+        | exception Not_found -> false
+        | slot ->
+            remove s key slot.sl_pos;
+            true)
   in
   if removed then report_evictions t 1;
   removed
@@ -274,16 +342,36 @@ let clear t =
   Array.iter
     (fun s ->
       Mutex.protect s.s_mutex (fun () ->
-          n := !n + Hashtbl.length s.s_tbl;
-          Hashtbl.reset s.s_tbl))
+          n := !n + Tbl.length s.s_tbl;
+          Tbl.reset s.s_tbl;
+          reset_links s))
     t.stripes;
   report_evictions t !n
 
 let length t =
   Array.fold_left
     (fun acc s ->
-      acc + Mutex.protect s.s_mutex (fun () -> Hashtbl.length s.s_tbl))
+      acc + Mutex.protect s.s_mutex (fun () -> Tbl.length s.s_tbl))
     0 t.stripes
+
+let stripe_walks t =
+  Array.map
+    (fun s ->
+      Mutex.protect s.s_mutex (fun () ->
+          (* At most [s_cap] steps, so a broken link cannot loop. *)
+          let walk links =
+            let rec go i n =
+              if i < 0 || i = s.s_cap || n > s.s_cap then n
+              else go links.(i) (n + 1)
+            in
+            go links.(s.s_cap) 0
+          in
+          (Tbl.length s.s_tbl, walk s.s_next, walk s.s_prev)))
+    t.stripes
+
+let prefix a ~k =
+  let rec go i acc = if i < 0 then acc else go (i - 1) (a.(i) :: acc) in
+  go (min k (Array.length a) - 1) []
 
 let min_cost t = t.min_cost
 

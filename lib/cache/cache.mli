@@ -11,12 +11,14 @@
     moves on (or the failover term bumps).
 
     Storage is striped: a key hashes to one of [stripes] independent
-    mutex-protected hash tables, each with exact-LRU eviction and an
-    optional TTL, so lookups of different hot keys never contend.
+    mutex-protected hash tables, each with exact-LRU eviction in O(1)
+    and an optional TTL, so lookups of different hot keys never
+    contend.
 
-    The cache stores answers of one payload type ['v] (typically
-    ['e list]); erasure across differently-typed instances is the
-    caller's job (see {!Topk_service.Client}). *)
+    The cache stores answers of one payload type ['v] (an ['e array]
+    in this system, served through {!prefix}); erasure across
+    differently-typed instances is the caller's job (see
+    {!Topk_service.Client}). *)
 
 type 'v t
 
@@ -40,10 +42,14 @@ val create :
   ?on_evict:(unit -> unit) ->
   unit ->
   'v t
-(** [stripes] (default 8, rounded up to a power of two) independent
+(** [stripes] (default 8, rounded up to a power of two, and lowered
+    to the largest power of two not above [capacity]) independent
     lock domains; [capacity] (default 4096) total entries, split
-    evenly across stripes; [ttl] an optional absolute entry lifetime
-    in seconds; [min_cost] (default 1) the admission threshold — an
+    across the stripes as evenly as it divides (the first
+    [capacity mod stripes] stripes hold one more), so the cache holds
+    exactly [capacity] when full (its hash buckets and recency links,
+    four words per entry, are allocated up front); [ttl] an optional
+    absolute entry lifetime in seconds; [min_cost] (default 1) the admission threshold — an
     answer whose charged I/O cost is below it is not worth caching
     and is {!admit}ted as [`Bypassed].  [on_evict] is called once per
     evicted or expired entry, outside any stripe lock; it must not
@@ -122,3 +128,14 @@ val stats : 'v t -> stats
 
 val hit_rate : 'v t -> float
 (** Hits over all lookups (stale lookups count as misses). *)
+
+val prefix : 'e array -> k:int -> 'e list
+(** [prefix a ~k] is the first [min k (Array.length a)] elements of
+    [a], in order: the answer a {!Hit} on an array payload serves at
+    the requested [k]. *)
+
+val stripe_walks : 'v t -> (int * int * int) array
+(** For each stripe, taken under its lock: the number of entries in
+    its table and the lengths of its recency list walked from the
+    most and from the least recently used end.  The three agree on a
+    coherent stripe; tests use this to check the links. *)

@@ -27,7 +27,7 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
     metrics : M.t option;
     router : Router.t;
     mutable dropped_seen : int;  (* transport drops already exported *)
-    cache : I.P.elem list Cache.t option;  (* answer cache, term-fenced *)
+    cache : I.P.elem array Cache.t option;  (* answer cache, term-fenced *)
     qkey : I.P.query -> string;
   }
 
@@ -210,11 +210,6 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
   let insert t e = write t (fun idx -> I.insert idx e)
   let delete t e = write t (fun idx -> I.delete idx e)
 
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-
   let mk_response t ~t0 ~k ~worker ~cost ~seq answers =
     {
       Response.answers;
@@ -263,7 +258,7 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
               Some
                 (mk_response t ~t0 ~k ~worker:(-1) ~cost:Stats.zero_snapshot
                    ~seq:(Version.seq e.Cache.e_version)
-                   (take k e.Cache.e_payload))
+                   (Cache.prefix e.Cache.e_payload ~k))
           | Cache.Stale | Cache.Miss ->
               (match t.metrics with
               | Some m -> M.Counter.incr m.M.cache_misses
@@ -298,11 +293,12 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
             in
             (match t.cache with
             | Some c -> (
+                let payload = Array.of_list answers in
                 match
                   Cache.admit c ~instance:t.name ~qkey:(Lazy.force qkey)
                     ~version:(Version.make ~term:t.term ~seq:token)
-                    ~k ~len:(List.length answers) ~cost:cost.Stats.ios
-                    ~now:(Clock.now ()) answers
+                    ~k ~len:(Array.length payload) ~cost:cost.Stats.ios
+                    ~now:(Clock.now ()) payload
                 with
                 | `Bypassed -> (
                     match t.metrics with

@@ -31,7 +31,7 @@ module Make (T : Topk_core.Sigs.TOPK) : sig
     ?metrics:Topk_service.Metrics.t ->
     ?quorum:int ->
     ?max_pump:int ->
-    ?cache:I.P.elem list Topk_cache.Cache.t ->
+    ?cache:I.P.elem array Topk_cache.Cache.t ->
     ?qkey:(I.P.query -> string) ->
     name:string ->
     replicas:int ->

@@ -5,7 +5,7 @@ module Cache = Topk_cache.Cache
 module Version = Topk_cache.Version
 
 (* The payloads of differently-typed handles share one cache, so the
-   answer lists are erased into the classic exception universal: each
+   answer arrays are erased into the classic exception universal: each
    [attach] mints a fresh local exception constructor, giving an
    injection the matching projection alone can reverse.  A projection
    mismatch (impossible unless two handles share an instance name)
@@ -35,8 +35,8 @@ type ('q, 'e) handle = {
   version : unit -> Version.t;
   versioned : bool;  (* a real sampler was supplied: stamp seq tokens *)
   qkey : 'q -> string;
-  inj : 'e list -> univ;
-  prj : univ -> 'e list option;
+  inj : 'e array -> univ;
+  prj : univ -> 'e array option;
 }
 
 let create ?(cache = true) ?cache_stripes ?cache_capacity ?cache_ttl
@@ -75,7 +75,7 @@ let marshal_qkey q = Marshal.to_string q []
 let attach (type q e) client ?version ?qkey (source : (q, e) source) :
     (q, e) handle =
   let module M = struct
-    exception Payload of e list
+    exception Payload of e array
   end in
   let name =
     match source with
@@ -95,11 +95,6 @@ let attach (type q e) client ?version ?qkey (source : (q, e) source) :
   }
 
 let name h = h.name
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
 
 (* A response produced on the calling domain without executing the
    query: cache hits and fast-path refusals. *)
@@ -126,7 +121,9 @@ let local_response h ~k ?(answers = []) ?seq_token ?trace_id
    update and is not admitted (the version tag could not be trusted).
    The entry is tagged with the response's own seq token when it
    carries one (a replica may answer from behind the head), falling
-   back to [v0]. *)
+   back to [v0].  The answers are stored as an array, copied once
+   here: a third of the words of the list, and a hit slices it with
+   {!Cache.prefix}. *)
 let offer h ~qkey ~k ~v0 (resp : _ Response.t) =
   match (h.client.cache, resp.Response.status) with
   | Some cache, Response.Complete ->
@@ -139,11 +136,11 @@ let offer h ~qkey ~k ~v0 (resp : _ Response.t) =
           | _ -> v0
         in
         let cost = (Response.cost resp).Stats.ios in
+        let answers = Array.of_list resp.Response.answers in
         match
           Cache.admit cache ~instance:h.name ~qkey ~version ~k
-            ~len:(List.length resp.Response.answers)
-            ~cost ~now:(Clock.now ())
-            (h.inj resp.Response.answers)
+            ~len:(Array.length answers) ~cost ~now:(Clock.now ())
+            (h.inj answers)
         with
         | `Admitted -> Tr.event "cache.admit" ~attrs:[ ("k", Tr.Int k) ]
         | `Bypassed ->
@@ -174,8 +171,8 @@ let serve_hit h ~k ~since ~current (entry : univ Cache.entry) answers =
   let seq_token =
     if h.versioned then Some (Version.seq entry.e_version) else None
   in
-  local_response h ~k ~answers:(take k answers) ?seq_token ?trace_id ~since
-    Response.Complete
+  local_response h ~k ~answers:(Cache.prefix answers ~k) ?seq_token ?trace_id
+    ~since Response.Complete
 
 let run_direct handle ?limits q ~k =
   let req, fut = Request.prepare handle ?limits q ~k in

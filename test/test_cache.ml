@@ -235,6 +235,247 @@ let test_invalidate_clear () =
   Alcotest.(check bool) "hit rate well-defined when empty" true
     (C.hit_rate (C.create ()) = 0.0)
 
+(* --- capacity split --- *)
+
+(* The stripes hold exactly [capacity] between them, for capacities
+   that the default 8 stripes do not divide and for ones below 8. *)
+let test_capacity_split () =
+  List.iter
+    (fun capacity ->
+      let c = C.create ~capacity () in
+      for i = 1 to max 1000 (4 * capacity) do
+        ignore
+          (C.admit c ~instance:"i" ~qkey:(string_of_int i) ~version:V.static
+             ~k:1 ~len:1 ~cost:9 ~now:0.0 [| i |])
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "capacity %d filled exactly" capacity)
+        capacity (C.length c))
+    [ 1; 3; 12; 100; 4096 ]
+
+let test_prefix () =
+  let a = [| 1; 2; 3; 4 |] in
+  Alcotest.(check (list int)) "k below length" [ 1; 2 ] (C.prefix a ~k:2);
+  Alcotest.(check (list int)) "k at length" [ 1; 2; 3; 4 ] (C.prefix a ~k:4);
+  Alcotest.(check (list int)) "k past length" [ 1; 2; 3; 4 ] (C.prefix a ~k:9);
+  Alcotest.(check (list int)) "k = 0" [] (C.prefix a ~k:0);
+  Alcotest.(check (list int)) "empty" [] (C.prefix [||] ~k:3)
+
+(* --- model check: one stripe against a reference exact LRU --- *)
+
+(* The reference keeps its entries in a list ordered by last touch,
+   most recent first, and applies the cache's documented rules:
+   TTL reaping on lookup and admission, consistency refusal, prefix
+   coverage, cost bypass, monotone supersession, and eviction of the
+   least recently touched entry once over capacity. *)
+module Model = struct
+  type entry = {
+    version : V.t;
+    k : int;
+    len : int;
+    inserted : float;
+    payload : int;
+    hits : int;
+  }
+
+  type t = {
+    cap : int;
+    mutable lru : (int * entry) list;
+    mutable hits : int;
+    mutable misses : int;
+    mutable stale : int;
+    mutable admits : int;
+    mutable bypasses : int;
+    mutable evictions : int;
+  }
+
+  let create cap =
+    { cap; lru = []; hits = 0; misses = 0; stale = 0; admits = 0;
+      bypasses = 0; evictions = 0 }
+
+  let ttl = 5.0
+  let min_cost = 2
+  let expired e ~now = now -. e.inserted > ttl
+  let drop m key = m.lru <- List.remove_assoc key m.lru
+
+  let find m ~key ~current ~consistency ~k ~now =
+    match List.assoc_opt key m.lru with
+    | None ->
+        m.misses <- m.misses + 1;
+        `Miss
+    | Some e when expired e ~now ->
+        drop m key;
+        m.evictions <- m.evictions + 1;
+        m.misses <- m.misses + 1;
+        `Miss
+    | Some e when not (Cons.admits ~current ~entry:e.version consistency) ->
+        m.stale <- m.stale + 1;
+        `Stale
+    | Some e when k <= e.k || e.len < e.k ->
+        let e = { e with hits = e.hits + 1 } in
+        m.lru <- (key, e) :: List.remove_assoc key m.lru;
+        m.hits <- m.hits + 1;
+        `Hit (e.payload, e.hits)
+    | Some _ ->
+        m.misses <- m.misses + 1;
+        `Miss
+
+  let admit m ~key ~version ~k ~len ~cost ~now ~payload =
+    let install () =
+      drop m key;
+      m.lru <-
+        (key, { version; k; len; inserted = now; payload; hits = 0 }) :: m.lru;
+      if List.length m.lru > m.cap then begin
+        m.lru <- List.filteri (fun i _ -> i < m.cap) m.lru;
+        m.evictions <- m.evictions + 1
+      end;
+      m.admits <- m.admits + 1;
+      `Admitted
+    in
+    if cost < min_cost then begin
+      m.bypasses <- m.bypasses + 1;
+      `Bypassed
+    end
+    else
+      match List.assoc_opt key m.lru with
+      | None -> install ()
+      | Some e when expired e ~now ->
+          drop m key;
+          m.evictions <- m.evictions + 1;
+          install ()
+      | Some e when V.newer_than e.version version -> `Superseded
+      | Some e when V.equal e.version version && e.k >= k -> `Superseded
+      | Some _ -> install ()
+
+  let invalidate m ~key =
+    if List.mem_assoc key m.lru then begin
+      drop m key;
+      m.evictions <- m.evictions + 1;
+      true
+    end
+    else false
+
+  let clear m =
+    m.evictions <- m.evictions + List.length m.lru;
+    m.lru <- []
+end
+
+type model_op =
+  | Admit of { key : int; seq : int; k : int; len : int; cost : int }
+  | Find of { key : int; seq : int; k : int; level : int }
+  | Invalidate of int
+  | Clear
+  | Advance of int
+
+let print_model_op = function
+  | Admit { key; seq; k; len; cost } ->
+      Printf.sprintf "admit(key=%d seq=%d k=%d len=%d cost=%d)" key seq k len
+        cost
+  | Find { key; seq; k; level } ->
+      Printf.sprintf "find(key=%d seq=%d k=%d level=%d)" key seq k level
+  | Invalidate key -> Printf.sprintf "invalidate(%d)" key
+  | Clear -> "clear"
+  | Advance d -> Printf.sprintf "advance(%d)" d
+
+let gen_model_op =
+  let open QCheck.Gen in
+  let key = int_bound 5 and seq = int_bound 3 and k = int_range 1 4 in
+  frequency
+    [
+      ( 8,
+        let+ key = key and+ seq = seq and+ k = k and+ len = int_range 0 4
+        and+ cost = int_bound 4 in
+        Admit { key; seq; k; len; cost } );
+      ( 8,
+        let+ key = key and+ seq = seq and+ k = k and+ level = int_bound 2 in
+        Find { key; seq; k; level } );
+      (1, map (fun key -> Invalidate key) key);
+      (1, return Clear);
+      (2, map (fun d -> Advance d) (int_bound 3));
+    ]
+
+let arb_model_run =
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap
+        (String.concat "; " (List.map print_model_op ops)))
+    QCheck.Gen.(pair (int_range 1 4) (list_size (int_range 1 80) gen_model_op))
+
+let consistency_of ~level ~seq =
+  match level with
+  | 0 -> Cons.Any
+  | 1 -> Cons.At_least (max 0 (seq - 1))
+  | _ -> Cons.Max_lag 1
+
+let prop_stripe_matches_model =
+  QCheck.Test.make ~count:500 ~name:"one stripe matches an exact-LRU model"
+    arb_model_run (fun (cap, ops) ->
+      let evicted = ref 0 in
+      let c =
+        C.create ~stripes:1 ~capacity:cap ~ttl:Model.ttl
+          ~min_cost:Model.min_cost ~on_evict:(fun () -> incr evicted) ()
+      in
+      let m = Model.create cap in
+      let now = ref 0.0 and next_payload = ref 0 in
+      let qkey = string_of_int in
+      let expect what b = if not b then QCheck.Test.fail_reportf "%s" what in
+      List.iter
+        (fun op ->
+          (match op with
+          | Admit { key; seq; k; len; cost } ->
+              incr next_payload;
+              let version = v ~term:0 ~seq in
+              let got =
+                C.admit c ~instance:"m" ~qkey:(qkey key) ~version ~k ~len ~cost
+                  ~now:!now !next_payload
+              in
+              let want =
+                Model.admit m ~key ~version ~k ~len ~cost ~now:!now
+                  ~payload:!next_payload
+              in
+              expect "admit outcome" (got = want)
+          | Find { key; seq; k; level } ->
+              let got =
+                match
+                  C.find c ~instance:"m" ~qkey:(qkey key)
+                    ~current:(v ~term:0 ~seq)
+                    ~consistency:(consistency_of ~level ~seq) ~k ~now:!now ()
+                with
+                | C.Hit e -> `Hit (e.C.e_payload, e.C.e_hits)
+                | C.Stale -> `Stale
+                | C.Miss -> `Miss
+              in
+              let want =
+                Model.find m ~key ~current:(v ~term:0 ~seq)
+                  ~consistency:(consistency_of ~level ~seq) ~k ~now:!now
+              in
+              expect "find outcome" (got = want)
+          | Invalidate key ->
+              expect "invalidate outcome"
+                (C.invalidate c ~instance:"m" ~qkey:(qkey key)
+                = Model.invalidate m ~key)
+          | Clear ->
+              C.clear c;
+              Model.clear m
+          | Advance d -> now := !now +. float_of_int d);
+          let st = C.stats c and n = List.length m.Model.lru in
+          expect "on_evict count" (!evicted = m.Model.evictions);
+          expect "stats"
+            (st
+            = {
+                C.st_hits = m.Model.hits;
+                st_misses = m.Model.misses;
+                st_stale = m.Model.stale;
+                st_admits = m.Model.admits;
+                st_bypasses = m.Model.bypasses;
+                st_evictions = m.Model.evictions;
+                st_entries = n;
+              });
+          expect "length" (C.length c = n);
+          expect "list walks" (C.stripe_walks c = [| (n, n, n) |]))
+        ops;
+      true)
+
 (* --- Client facade: transparency and prefix laws --- *)
 
 let mk_intervals n seed =
@@ -484,6 +725,15 @@ let test_striped_race () =
   Alcotest.(check int) "every lookup accounted" (4 * ops_per_domain)
     (st.C.st_hits + st.C.st_misses + st.C.st_stale);
   Alcotest.(check bool) "the race produced hits" true (st.C.st_hits > 0);
+  (* Every stripe's recency list, walked either way, still links
+     exactly the entries of its table. *)
+  Array.iteri
+    (fun i (entries, forward, backward) ->
+      Alcotest.(check int) (Printf.sprintf "stripe %d forward" i) entries
+        forward;
+      Alcotest.(check int) (Printf.sprintf "stripe %d backward" i) entries
+        backward)
+    (C.stripe_walks c);
   (* The table is still coherent after the race. *)
   Array.iteri
     (fun i qkey ->
@@ -515,6 +765,10 @@ let () =
           Alcotest.test_case "term fencing" `Quick test_term_fencing;
           Alcotest.test_case "invalidate and clear" `Quick
             test_invalidate_clear;
+          Alcotest.test_case "capacity split holds exactly capacity" `Quick
+            test_capacity_split;
+          Alcotest.test_case "prefix of an array payload" `Quick test_prefix;
+          QCheck_alcotest.to_alcotest prop_stripe_matches_model;
         ] );
       ( "laws",
         [
