@@ -57,17 +57,23 @@ let interval_tests () =
 (* The kernels on a Theorem 2 / scatter answer path, on their own:
    k-selection over stab candidates at both shapes the serving
    benchmark drives (a top-10 at n = 16 384, a shard leg's top-100 at
-   n = 4096) and the k-way gather of 2 and 4 sorted legs. *)
+   n = 4096), once from a materialised list and once streamed from the
+   stab visit itself (visit included), and the k-way gather of 2 and 4
+   sorted legs. *)
 let serving_kernel_tests () =
   let module W = Topk_core.Sigs.Weight_order (Topk_interval.Problem) in
-  let stab_lists ~n ~seed =
+  let stab ~n ~seed =
     let elems = Workloads.intervals ~seed ~shape:Gen.Mixed_intervals ~n in
     let pri = Topk_interval.Seg_stab.build elems in
-    Array.map
-      (fun q -> Topk_interval.Seg_stab.query pri q ~tau:Float.neg_infinity)
-      (Workloads.stab_queries ~seed:(seed + 1) ~n:64)
+    let queries = Workloads.stab_queries ~seed:(seed + 1) ~n:64 in
+    ( pri,
+      queries,
+      Array.map
+        (fun q -> Topk_interval.Seg_stab.query pri q ~tau:Float.neg_infinity)
+        queries )
   in
-  let wide = stab_lists ~n ~seed:910 and leg = stab_lists ~n:4096 ~seed:912 in
+  let wide_pri, wide_q, wide = stab ~n ~seed:910 in
+  let leg_pri, leg_q, leg = stab ~n:4096 ~seed:912 in
   let legs s =
     Array.map
       (fun cands ->
@@ -84,12 +90,23 @@ let serving_kernel_tests () =
     cursor := (!cursor + 1) mod Array.length arr;
     arr.(!cursor)
   in
+  let stream pri queries k =
+    Staged.stage (fun () ->
+        ignore
+          (W.top_k_iter k
+             (Topk_interval.Seg_stab.visit pri (next queries)
+                ~tau:Float.neg_infinity)))
+  in
   let cmp = W.compare in
   [
     Test.make ~name:"kernel/select top-10 of stab list n=16384"
       (Staged.stage (fun () -> ignore (W.top_k 10 (next wide))));
     Test.make ~name:"kernel/select top-100 of stab list n=4096"
       (Staged.stage (fun () -> ignore (W.top_k 100 (next leg))));
+    Test.make ~name:"kernel/stream top-10 of stab visit n=16384"
+      (stream wide_pri wide_q 10);
+    Test.make ~name:"kernel/stream top-100 of stab visit n=4096"
+      (stream leg_pri leg_q 100);
     Test.make ~name:"kernel/gather 2 legs k=100"
       (Staged.stage (fun () ->
            ignore (Topk_shard.Gather.merge ~cmp ~k:100 (next legs2))));
@@ -274,28 +291,32 @@ let dominance_tests () =
 
 let run () =
   Table.section "Bechamel wall-clock microbenchmarks (ns per query)";
-  let bench ~stabilize tests =
-    Benchmark.all
-      (Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) ~kde:None
-         ~stabilize ())
-      [ Toolkit.Instance.monotonic_clock ]
-      (Test.make_grouped ~name:"topk" tests)
-  in
-  let raw =
-    bench ~stabilize:true
-      (interval_tests () @ serving_kernel_tests () @ dynamic_tests ()
-      @ halfplane_tests ()
-      @ kd_tests () @ enclosure_tests () @ dominance_tests ())
-  in
-  (* The service rows skip GC stabilisation: its full major collection
+  (* Each group builds its structures only when it runs, and the heap
+     is compacted between groups, so a row measures its query rather
+     than the live heap of every other group's structures.  The
+     service rows skip GC stabilisation: its full major collection
      before every sample outlasts the worker's spin and parks it, so
      each sample would open with a cold wake-up instead of the steady
-     hand-off the rows are for.  The cache rows skip it too: with the
-     suite's other structures live, their sub-microsecond calls read
-     8-36 us per call with it, which measures the collections rather
-     than the cache. *)
-  Hashtbl.iter (Hashtbl.replace raw)
-    (bench ~stabilize:false (service_tests () @ cache_tests ()));
+     hand-off the rows are for.  The cache rows skip it too: their
+     sub-microsecond calls would measure the collections rather than
+     the cache. *)
+  let groups =
+    [ (true, interval_tests); (true, serving_kernel_tests);
+      (true, dynamic_tests); (true, halfplane_tests); (true, kd_tests);
+      (true, enclosure_tests); (true, dominance_tests);
+      (false, service_tests); (false, cache_tests) ]
+  in
+  let raw = Hashtbl.create 32 in
+  List.iter
+    (fun (stabilize, group) ->
+      Gc.compact ();
+      Hashtbl.iter (Hashtbl.replace raw)
+        (Benchmark.all
+           (Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) ~kde:None
+              ~stabilize ())
+           [ Toolkit.Instance.monotonic_clock ]
+           (Test.make_grouped ~name:"topk" (group ()))))
+    groups;
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in

@@ -26,31 +26,26 @@ module Make (S : Sigs.PRIORITIZED) = struct
 
   let probes t = t.probe_count
 
-  let select_top_k k elems =
-    Stats.charge_scan (List.length elems);
-    W.top_k k elems
-
-  let scan_filter_top ~k q elems =
-    Stats.charge_scan (Array.length elems);
-    let matching = ref [] in
-    for i = Array.length elems - 1 downto 0 do
-      if P.matches q elems.(i) then matching := elems.(i) :: !matching
-    done;
-    W.top_k k !matching
+  (* The [k] heaviest of [q]'s matches at [tau], streamed from the
+     visit; their k-selection is charged as one pass over them. *)
+  let select_top_k t q ~tau ~k =
+    let count, top = W.top_k_count k (S.visit t.pri q ~tau) in
+    Stats.charge_scan count;
+    top
 
   (* Does q(D) restricted to weight >= tau contain at least k elements? *)
   let count_at_least t q ~tau ~k =
     t.probe_count <- t.probe_count + 1;
-    match S.query_monitored t.pri q ~tau ~limit:k with
-    | Sigs.Truncated _ -> true
-    | Sigs.All s -> List.length s >= k
+    match W.top_k_iter ~limit:k 0 (S.visit t.pri q ~tau) with
+    | None -> true
+    | Some (count, _) -> count >= k
 
   let query t q ~k =
     Stats.mark_query ();
     if k <= 0 then []
     else begin
       let n = Array.length t.elems in
-      if 2 * k >= n then scan_filter_top ~k q t.elems
+      if 2 * k >= n then W.scan_top_k ~k q t.elems
       else begin
         (* Find the smallest index i (0-based in the descending weight
            array) such that count (>= weights_desc.(i)) >= k.  The
@@ -59,11 +54,11 @@ module Make (S : Sigs.PRIORITIZED) = struct
         match Topk_util.Search.binary_search_first ok 0 n with
         | None ->
             (* Fewer than k elements match in total. *)
-            select_top_k k (S.query t.pri q ~tau:Float.neg_infinity)
+            select_top_k t q ~tau:Float.neg_infinity ~k
         | Some i ->
             (* Distinct weights: the count at this threshold is exactly
                k, so the final query returns the answer set itself. *)
-            select_top_k k (S.query t.pri q ~tau:t.weights_desc.(i))
+            select_top_k t q ~tau:t.weights_desc.(i) ~k
       end
     end
 end

@@ -137,52 +137,18 @@ module Make (S : Sigs.PRIORITIZED) = struct
       0 t.buckets
     + Hashtbl.length t.dead
 
-  let query t q ~tau =
-    let acc = ref [] in
+  (* One I/O per bucket probed, plus the bucket's own visit; dead
+     elements are filtered out before the callback sees them. *)
+  let visit t q ~tau f =
     Array.iter
       (function
         | None -> ()
         | Some b ->
             Stats.charge_ios 1;
-            List.iter
-              (fun e -> if not (is_dead t e) then acc := e :: !acc)
-              (S.query b.structure q ~tau))
-      t.buckets;
-    !acc
+            S.visit b.structure q ~tau (fun e -> if not (is_dead t e) then f e))
+      t.buckets
 
-  exception Enough
+  let query t q ~tau = Sigs.collect (visit t q ~tau)
 
-  let query_monitored t q ~tau ~limit =
-    let acc = ref [] and count = ref 0 in
-    let consider e =
-      if not (is_dead t e) then begin
-        acc := e :: !acc;
-        incr count;
-        if !count > limit then raise Enough
-      end
-    in
-    match
-      Array.iter
-        (function
-          | None -> ()
-          | Some b -> (
-              Stats.charge_ios 1;
-              match S.query_monitored b.structure q ~tau ~limit with
-              | Sigs.All es -> List.iter consider es
-              | Sigs.Truncated es ->
-                  (* The truncated prefix may be padded with dead
-                     elements; feed it first (it may already exceed
-                     the live limit), then fall back to the full
-                     bucket query so an [All] verdict stays exact. *)
-                  List.iter consider es;
-                  let seen = Hashtbl.create (List.length es) in
-                  List.iter (fun e -> Hashtbl.replace seen (P.id e) ()) es;
-                  List.iter
-                    (fun e ->
-                      if not (Hashtbl.mem seen (P.id e)) then consider e)
-                    (S.query b.structure q ~tau)))
-        t.buckets
-    with
-    | () -> Sigs.All !acc
-    | exception Enough -> Sigs.Truncated !acc
+  let query_monitored t q ~tau ~limit = Sigs.monitor ~limit (visit t q ~tau)
 end

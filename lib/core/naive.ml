@@ -21,14 +21,5 @@ module Make (P : Sigs.PROBLEM) = struct
     (* Same k-edge contract as every other TOPK instance: [k <= 0]
        answers [[]] without touching (or charging for) the data. *)
     if k <= 0 then []
-    else begin
-      let n = Array.length t.elems in
-      Stats.charge_scan n;
-    let matching = ref [] in
-    for i = n - 1 downto 0 do
-      let e = t.elems.(i) in
-      if P.matches q e then matching := e :: !matching
-    done;
-      W.top_k k !matching
-    end
+    else W.scan_top_k ~k q t.elems
 end

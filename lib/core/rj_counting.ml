@@ -61,14 +61,6 @@ struct
     | Leaf e -> if P.matches q e then 1 else 0
     | Node { counter; _ } -> C.count counter q
 
-  let scan_filter_top ~k q elems =
-    Stats.charge_scan (Array.length elems);
-    let matching = ref [] in
-    for i = Array.length elems - 1 downto 0 do
-      if P.matches q elems.(i) then matching := elems.(i) :: !matching
-    done;
-    W.top_k k !matching
-
   let query t q ~k =
     Stats.mark_query ();
     if k <= 0 then []
@@ -77,55 +69,50 @@ struct
       | None -> []
       | Some root ->
           let n = Array.length t.elems in
-          if 2 * k >= n then scan_filter_top ~k q t.elems
+          if 2 * k >= n then W.scan_top_k ~k q t.elems
           else begin
             let total = count root q in
-            if total <= k then begin
+            (* The answer's candidates are streamed into a k-heap;
+               their k-selection is charged as one pass over them. *)
+            let select iter =
+              let reported, top = W.top_k_count k iter in
+              Stats.charge_scan reported;
+              top
+            in
+            if total <= k then
               (* Everything matching is wanted: one full report. *)
-              let got =
-                match root with
-                | Leaf e -> if P.matches q e then [ e ] else []
-                | Node { reporter; _ } ->
-                    S.query reporter q ~tau:Float.neg_infinity
-              in
-              Stats.charge_scan (List.length got);
-              W.top_k k got
-            end
-            else begin
+              select (fun f ->
+                  match root with
+                  | Leaf e -> if P.matches q e then f e
+                  | Node { reporter; _ } ->
+                      S.visit reporter q ~tau:Float.neg_infinity f)
+            else
               (* Descend for the rank of the k-th heaviest match; the
                  skipped left subtrees form the canonical prefix. *)
-              let acc = ref [] in
-              let report = function
-                | Leaf e ->
+              select (fun f ->
+                  let leaf e =
                     if P.matches q e then begin
                       Stats.charge_scan 1;
-                      acc := e :: !acc
+                      f e
                     end
-                | Node { reporter; _ } ->
-                    List.iter
-                      (fun e -> acc := e :: !acc)
-                      (S.query reporter q ~tau:Float.neg_infinity)
-              in
-              let rec descend node remaining =
-                match node with
-                | Leaf e ->
-                    (* remaining = 1 and this element matches. *)
-                    if P.matches q e then begin
-                      Stats.charge_scan 1;
-                      acc := e :: !acc
-                    end
-                | Node { left; right; _ } ->
-                    let cl = count left q in
-                    if cl >= remaining then descend left remaining
-                    else begin
-                      report left;
-                      descend right (remaining - cl)
-                    end
-              in
-              descend root k;
-              Stats.charge_scan (List.length !acc);
-              W.top_k k !acc
-            end
+                  in
+                  let rec descend node remaining =
+                    match node with
+                    | Leaf e ->
+                        (* remaining = 1 and this element matches. *)
+                        leaf e
+                    | Node { left; right; _ } ->
+                        let cl = count left q in
+                        if cl >= remaining then descend left remaining
+                        else begin
+                          (match left with
+                           | Leaf e -> leaf e
+                           | Node { reporter; _ } ->
+                               S.visit reporter q ~tau:Float.neg_infinity f);
+                          descend right (remaining - cl)
+                        end
+                  in
+                  descend root k)
           end
     end
 end

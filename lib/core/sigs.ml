@@ -66,6 +66,19 @@ module type PRIORITIZED = sig
   val space_words : t -> int
   (** Space in words; divide by [B] for blocks. *)
 
+  val visit : t -> P.query -> tau:float -> (P.elem -> unit) -> unit
+  (** The reporting primitive: apply the callback to every element
+      matching [q] with weight [>= tau], in no particular order.  The
+      callback may raise to stop the visit early; the exception
+      propagates, and only the work done so far has been charged.
+      The visit charges its own navigation and a scan of every element
+      it handed over, the one the callback raised on included: each
+      scan is charged after the callback has seen its elements (per
+      element, or per node run as in [Seg_stab]), so the callback
+      itself must charge nothing.  The reductions stream a visit into
+      {!Topk_util.Select.top_k_iter}; {!collect} and {!monitor} derive
+      {!query} and {!query_monitored} from it. *)
+
   val query : t -> P.query -> tau:float -> P.elem list
   (** All elements matching [q] with weight [>= tau], unordered. *)
 
@@ -74,6 +87,27 @@ module type PRIORITIZED = sig
   (** Cost-monitored variant: stops as soon as [limit + 1] elements
       have been reported, charging only the work actually done. *)
 end
+
+(** [PRIORITIZED.query] from a visit: [collect (visit t q ~tau)] is
+    every element it reports. *)
+let collect iter =
+  let acc = ref [] in
+  iter (fun e -> acc := e :: !acc);
+  !acc
+
+(** [PRIORITIZED.query_monitored] from a visit: the visit is stopped
+    by raising out of it at its [limit + 1]-th element. *)
+let monitor ~limit iter =
+  let exception Enough in
+  let acc = ref [] and count = ref 0 in
+  match
+    iter (fun e ->
+        acc := e :: !acc;
+        incr count;
+        if !count > limit then raise_notrace Enough)
+  with
+  | () -> All !acc
+  | exception Enough -> Truncated !acc
 
 (** A structure for max reporting: top-k with [k] fixed to 1, in
     [Q_max(n)] I/Os. *)
@@ -168,6 +202,29 @@ module Weight_order (P : PROBLEM) = struct
 
   (** The [k] heaviest of [elems], sorted by decreasing weight. *)
   let top_k k elems = Topk_util.Select.top_k_by ~key:P.weight ~id:P.id k elems
+
+  (** The [k] heaviest of what a visit reports, with the number
+      reported, or [None] once it reports [limit + 1]: see
+      {!Topk_util.Select.top_k_iter}. *)
+  let top_k_iter ?(limit = max_int) k iter =
+    Topk_util.Select.top_k_iter ~key:P.weight ~id:P.id ~limit k iter
+
+  (** [top_k_iter] without a limit: the number reported and the [k]
+      heaviest of them. *)
+  let top_k_count k iter =
+    match top_k_iter k iter with Some r -> r | None -> assert false
+
+  (** The [k] heaviest elements of [elems] that match [q], sorted by
+      decreasing weight: one scan of [elems], charged whole.  A scan
+      keeps every match, so the list and [top_k]'s quickselect beat
+      the streaming heap here. *)
+  let scan_top_k ~k q elems =
+    Topk_em.Stats.charge_scan (Array.length elems);
+    let matching = ref [] in
+    for i = Array.length elems - 1 downto 0 do
+      if P.matches q elems.(i) then matching := elems.(i) :: !matching
+    done;
+    top_k k !matching
 end
 
 (** A structure for (exact) counting: given a predicate, return

@@ -36,19 +36,6 @@ module Make (S : Sigs.PRIORITIZED) = struct
 
   let name = "theorem1(" ^ S.name ^ ")"
 
-  (* k-selection on a fetched candidate list costs one pass over it. *)
-  let select_top_k k elems =
-    Stats.charge_scan (List.length elems);
-    W.top_k k elems
-
-  let scan_filter_top ~k q elems =
-    Stats.charge_scan (Array.length elems);
-    let matching = ref [] in
-    for i = Array.length elems - 1 downto 0 do
-      if P.matches q elems.(i) then matching := elems.(i) :: !matching
-    done;
-    W.top_k k !matching
-
   (* A chain of nested core-sets, all with K = f, ending as soon as a
      level fits in 4f elements (scanned directly) or stops shrinking
      (degenerate inputs). *)
@@ -142,23 +129,32 @@ module Make (S : Sigs.PRIORITIZED) = struct
 
   let fallbacks t = t.fallback_count
 
-  (* Cost-monitored probe, reported to the active trace (if any) with
-     its limit and All/Truncated outcome; the span's Stats delta is the
-     probe's charged I/Os.  Tracing never charges Stats itself. *)
-  let probe name pri q ~tau ~limit =
+  (* Cost-monitored top-[k] probe: [q]'s matches in [pri] streamed
+     into a count and a k-heap, [None] once [limit + 1] are reported.
+     It is reported to the active trace (if any) with its limit and
+     All/Truncated outcome; the span's Stats delta is the probe's
+     charged I/Os.  Tracing never charges Stats itself. *)
+  let probe name pri q ~k ~limit =
     Tr.with_span name ~attrs:[ ("limit", Tr.Int limit) ] (fun () ->
-        let r = S.query_monitored pri q ~tau ~limit in
+        let tau = Float.neg_infinity in
+        let r = W.top_k_iter ~limit k (S.visit pri q ~tau) in
         if Tr.is_enabled () then begin
           (match r with
-          | Sigs.All es ->
+          | Some (count, _) ->
               Tr.add_attr "outcome" (Tr.Str "all");
-              Tr.add_attr "reported" (Tr.Int (List.length es))
-          | Sigs.Truncated es ->
+              Tr.add_attr "reported" (Tr.Int count)
+          | None ->
               Tr.add_attr "outcome" (Tr.Str "truncated");
-              Tr.add_attr "reported" (Tr.Int (List.length es)));
+              Tr.add_attr "reported" (Tr.Int (limit + 1)));
           Tr.add_attr "tau" (Tr.Float tau)
         end;
         r)
+
+  (* The [k] heaviest of the [count] candidates a round kept: their
+     k-selection is charged as one pass over them. *)
+  let kept (count, top) =
+    Stats.charge_scan count;
+    top
 
   (* Answer a top-f query on chain level [j]: returns the
      min (f, |q(R_j)|) heaviest elements of q(R_j), sorted descending. *)
@@ -171,11 +167,11 @@ module Make (S : Sigs.PRIORITIZED) = struct
         match lev.pri with
         | None ->
             Tr.add_attr "path" (Tr.Str "scan");
-            scan_filter_top ~k:f q lev.elems
+            W.scan_top_k ~k:f q lev.elems
         | Some pri -> (
-            match probe "t1.probe" pri q ~tau:Float.neg_infinity ~limit:(4 * f) with
-            | Sigs.All elems -> select_top_k f elems
-            | Sigs.Truncated _ ->
+            match probe "t1.probe" pri q ~k:f ~limit:(4 * f) with
+            | Some r -> kept r
+            | None ->
                 (* |q(R_j)| > 4f: fetch a rank-[f,4f] threshold from the
                    next core-set (Lemma 2), then report above it. *)
                 let deeper = top_f t chain (j + 1) q in
@@ -184,14 +180,14 @@ module Make (S : Sigs.PRIORITIZED) = struct
                 let fallback () =
                   t.fallback_count <- t.fallback_count + 1;
                   Tr.event "t1.fallback" ~attrs:[ ("level", Tr.Int j) ];
-                  scan_filter_top ~k:f q lev.elems
+                  W.scan_top_k ~k:f q lev.elems
                 in
                 (match threshold with
                  | None -> fallback ()
-                 | Some e ->
-                     let cands = S.query pri q ~tau:(P.weight e) in
-                     if List.length cands >= f then select_top_k f cands
-                     else fallback ())))
+                 | Some e -> (
+                     match W.top_k_iter f (S.visit pri q ~tau:(P.weight e)) with
+                     | Some ((count, _) as r) when count >= f -> kept r
+                     | Some _ | None -> fallback ()))))
 
   let query (t : t) q ~k =
     Stats.mark_query ();
@@ -201,12 +197,12 @@ module Make (S : Sigs.PRIORITIZED) = struct
           let n = Array.length t.elems in
           if 2 * k >= n then begin
             Tr.add_attr "path" (Tr.Str "scan");
-            scan_filter_top ~k q t.elems
+            W.scan_top_k ~k q t.elems
           end
           else if k <= t.f then begin
             Tr.add_attr "path" (Tr.Str "chain");
             let top = top_f t t.chain 0 q in
-            select_top_k k top
+            kept (List.length top, W.top_k k top)
           end
           else begin
             Tr.add_attr "path" (Tr.Str "ladder");
@@ -221,26 +217,25 @@ module Make (S : Sigs.PRIORITIZED) = struct
             match rung with
             | None ->
                 (* k exceeds every rung (only possible on tiny inputs). *)
-                scan_filter_top ~k q t.elems
+                W.scan_top_k ~k q t.elems
             | Some rung -> (
                 let kk = rung.kk in
-                match
-                  probe "t1.probe" t.pri_d q ~tau:Float.neg_infinity
-                    ~limit:(4 * kk)
-                with
-                | Sigs.All elems -> select_top_k k elems
-                | Sigs.Truncated _ ->
+                match probe "t1.probe" t.pri_d q ~k ~limit:(4 * kk) with
+                | Some r -> kept r
+                | None ->
                     let fallback () =
                       t.fallback_count <- t.fallback_count + 1;
                       Tr.event "t1.fallback" ~attrs:[ ("rung", Tr.Int kk) ];
-                      scan_filter_top ~k q t.elems
+                      W.scan_top_k ~k q t.elems
                     in
                     let top = top_f t rung.chain 0 q in
                     (match List.nth_opt top (rung.rung_rank_target - 1) with
                      | None -> fallback ()
-                     | Some e ->
-                         let cands = S.query t.pri_d q ~tau:(P.weight e) in
-                         if List.length cands >= k then select_top_k k cands
-                         else fallback ()))
+                     | Some e -> (
+                         match
+                           W.top_k_iter k (S.visit t.pri_d q ~tau:(P.weight e))
+                         with
+                         | Some ((count, _) as r) when count >= k -> kept r
+                         | Some _ | None -> fallback ())))
           end)
 end

@@ -82,18 +82,6 @@ module Make (S : Sigs.PRIORITIZED) (M : Sigs.MAX with module P = S.P) = struct
 
   let rounds_failed t = t.rounds_failed
 
-  let select_top_k k elems =
-    Stats.charge_scan (List.length elems);
-    W.top_k k elems
-
-  let scan_filter_top ~k q elems =
-    Stats.charge_scan (Array.length elems);
-    let matching = ref [] in
-    for i = Array.length elems - 1 downto 0 do
-      if P.matches q elems.(i) then matching := elems.(i) :: !matching
-    done;
-    W.top_k k !matching
-
   let query t q ~k =
     Stats.mark_query ();
     if k <= 0 then []
@@ -105,7 +93,7 @@ module Make (S : Sigs.PRIORITIZED) (M : Sigs.MAX with module P = S.P) = struct
           if h = 0 || kk > t.ladder.(h - 1).ki then begin
             (* Past the ladder: k = Omega(n), scan D. *)
             Tr.add_attr "path" (Tr.Str "scan");
-            scan_filter_top ~k q t.elems
+            W.scan_top_k ~k q t.elems
           end
           else begin
             Tr.add_attr "path" (Tr.Str "ladder");
@@ -115,7 +103,7 @@ module Make (S : Sigs.PRIORITIZED) (M : Sigs.MAX with module P = S.P) = struct
             let rec round j =
               if j >= h then begin
                 Tr.event "t2.ladder_exhausted";
-                scan_filter_top ~k q t.elems
+                W.scan_top_k ~k q t.elems
               end
               else begin
                 t.rounds_run <- t.rounds_run + 1;
@@ -124,15 +112,19 @@ module Make (S : Sigs.PRIORITIZED) (M : Sigs.MAX with module P = S.P) = struct
                 Tr.with_span "t2.round"
                   ~attrs:[ ("rung", Tr.Int j); ("ki", Tr.Int kj) ]
                   (fun () ->
+                    (* Each visit streams into a count and a k-heap; a
+                       self-terminated one is then charged one pass over
+                       its [count] candidates, as k-selection over them. *)
                     match
-                      S.query_monitored t.pri_d q ~tau:Float.neg_infinity
-                        ~limit:(4 * kj)
+                      W.top_k_iter ~limit:(4 * kj) k
+                        (S.visit t.pri_d q ~tau:Float.neg_infinity)
                     with
-                    | Sigs.All s ->
+                    | Some (count, top) ->
                         (* Step 1: |q(D)| <= 4 K_j — solved outright. *)
                         Tr.add_attr "outcome" (Tr.Str "solved");
-                        Some (select_top_k k s)
-                    | Sigs.Truncated _ -> (
+                        Stats.charge_scan count;
+                        Some top
+                    | None -> (
                         (* Step 2: threshold from the max of q(R_j). *)
                         match M.query rung.max_structure q with
                         | None ->
@@ -144,23 +136,22 @@ module Make (S : Sigs.PRIORITIZED) (M : Sigs.MAX with module P = S.P) = struct
                             (* Step 3: candidates above the threshold. *)
                             Tr.add_attr "threshold" (Tr.Float (P.weight e));
                             match
-                              S.query_monitored t.pri_d q ~tau:(P.weight e)
-                                ~limit:(4 * kj)
+                              W.top_k_iter ~limit:(4 * kj) k
+                                (S.visit t.pri_d q ~tau:(P.weight e))
                             with
-                            | Sigs.All s when List.length s > kj ->
+                            | Some (count, top) when count > kj ->
                                 (* Step 5: success. *)
                                 Tr.add_attr "outcome" (Tr.Str "success");
-                                Tr.add_attr "rank_observed"
-                                  (Tr.Int (List.length s));
-                                Some (select_top_k k s)
-                            | Sigs.All s ->
+                                Tr.add_attr "rank_observed" (Tr.Int count);
+                                Stats.charge_scan count;
+                                Some top
+                            | Some (count, _) ->
                                 (* Step 4: rank missed (K_j, 4 K_j]. *)
                                 Tr.add_attr "outcome" (Tr.Str "rank_missed");
-                                Tr.add_attr "rank_observed"
-                                  (Tr.Int (List.length s));
+                                Tr.add_attr "rank_observed" (Tr.Int count);
                                 t.rounds_failed <- t.rounds_failed + 1;
                                 None
-                            | Sigs.Truncated _ ->
+                            | None ->
                                 Tr.add_attr "outcome" (Tr.Str "rank_missed");
                                 t.rounds_failed <- t.rounds_failed + 1;
                                 None)))

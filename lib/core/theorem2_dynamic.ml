@@ -146,10 +146,6 @@ struct
       maybe_resample t
     end
 
-  let select_top_k k elems =
-    Stats.charge_scan (List.length elems);
-    W.top_k k elems
-
   let scan_all_top t q ~k =
     Stats.charge_scan (Hashtbl.length t.elems);
     let matching = ref [] in
@@ -175,24 +171,29 @@ struct
             t.rounds_run <- t.rounds_run + 1;
             let rung = t.ladder.(j) in
             let kj = rung.ki in
+            (* As in Theorem 2: stream each visit into a count and a
+               k-heap, then charge one pass over a kept candidate set. *)
             match
-              S.query_monitored t.pri q ~tau:Float.neg_infinity
-                ~limit:(4 * kj)
+              W.top_k_iter ~limit:(4 * kj) k
+                (S.visit t.pri q ~tau:Float.neg_infinity)
             with
-            | Sigs.All s -> select_top_k k s
-            | Sigs.Truncated _ -> (
+            | Some (count, top) ->
+                Stats.charge_scan count;
+                top
+            | None -> (
                 match M.query rung.max_structure q with
                 | None ->
                     t.rounds_failed <- t.rounds_failed + 1;
                     round (j + 1)
                 | Some e -> (
                     match
-                      S.query_monitored t.pri q ~tau:(P.weight e)
-                        ~limit:(4 * kj)
+                      W.top_k_iter ~limit:(4 * kj) k
+                        (S.visit t.pri q ~tau:(P.weight e))
                     with
-                    | Sigs.All s when List.length s > kj ->
-                        select_top_k k s
-                    | Sigs.All _ | Sigs.Truncated _ ->
+                    | Some (count, top) when count > kj ->
+                        Stats.charge_scan count;
+                        top
+                    | Some _ | None ->
                         t.rounds_failed <- t.rounds_failed + 1;
                         round (j + 1)))
           end

@@ -31,20 +31,7 @@ let visit t (x, y) ~tau f =
       Seg.visit node.ystab y ~tau (fun itv ->
           f (Hashtbl.find node.by_id itv.Topk_interval.Interval.id)))
 
-let query t q ~tau =
-  let acc = ref [] in
-  visit t q ~tau (fun r -> acc := r :: !acc);
-  !acc
-
-exception Enough
+let query t q ~tau = Topk_core.Sigs.collect (visit t q ~tau)
 
 let query_monitored t q ~tau ~limit =
-  let acc = ref [] and count = ref 0 in
-  match
-    visit t q ~tau (fun r ->
-        acc := r :: !acc;
-        incr count;
-        if !count > limit then raise Enough)
-  with
-  | () -> Topk_core.Sigs.All !acc
-  | exception Enough -> Topk_core.Sigs.Truncated !acc
+  Topk_core.Sigs.monitor ~limit (visit t q ~tau)

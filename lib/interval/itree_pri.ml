@@ -101,20 +101,7 @@ let visit t q ~tau f =
   in
   go t.root
 
-let query t q ~tau =
-  let acc = ref [] in
-  visit t q ~tau (fun itv -> acc := itv :: !acc);
-  !acc
-
-exception Enough
+let query t q ~tau = Topk_core.Sigs.collect (visit t q ~tau)
 
 let query_monitored t q ~tau ~limit =
-  let acc = ref [] and count = ref 0 in
-  match
-    visit t q ~tau (fun itv ->
-        acc := itv :: !acc;
-        incr count;
-        if !count > limit then raise Enough)
-  with
-  | () -> Topk_core.Sigs.All !acc
-  | exception Enough -> Topk_core.Sigs.Truncated !acc
+  Topk_core.Sigs.monitor ~limit (visit t q ~tau)

@@ -62,13 +62,10 @@ let space_words t =
   + Array.fold_left (fun acc l -> acc + Array.length l) 0 t.node_lists
   + Array.length t.node_lists
 
-(* Visit reportable intervals along the root-to-leaf path of [q]'s
-   slab; [f] may raise to stop early.  Each node's scan is charged once
-   with the number of intervals it reported ([i + 1] when [f] stops
-   the scan at interval [i]): the scan carry makes that the same
-   [ios]/[scanned] as one charge per interval, and the fault hook still
-   ticks once per block I/O in the same order, since [f] charges
-   nothing. *)
+(* Reportable intervals lie along the root-to-leaf path of [q]'s slab.
+   Each node's scan is charged once, after [f] has seen its intervals
+   ([i + 1] when [f] raises at interval [i]): the scan carry makes that
+   the same [ios]/[scanned] as one charge per interval. *)
 let visit t q ~tau f =
   let s = Slabs.slab_of_point t.slabs q in
   let node = ref (t.leaves + s) in
@@ -89,20 +86,7 @@ let visit t q ~tau f =
     node := !node / 2
   done
 
-let query t q ~tau =
-  let acc = ref [] in
-  visit t q ~tau (fun itv -> acc := itv :: !acc);
-  !acc
-
-exception Enough
+let query t q ~tau = Topk_core.Sigs.collect (visit t q ~tau)
 
 let query_monitored t q ~tau ~limit =
-  let acc = ref [] and count = ref 0 in
-  match
-    visit t q ~tau (fun itv ->
-        acc := itv :: !acc;
-        incr count;
-        if !count > limit then raise Enough)
-  with
-  | () -> Topk_core.Sigs.All !acc
-  | exception Enough -> Topk_core.Sigs.Truncated !acc
+  Topk_core.Sigs.monitor ~limit (visit t q ~tau)

@@ -15,12 +15,3 @@
     [O(n log n)] words. *)
 
 include Topk_core.Sigs.PRIORITIZED with module P = Problem
-
-val visit : t -> float -> tau:float -> (Interval.t -> unit) -> unit
-(** Streaming form of {!query}: apply the callback to every interval
-    containing the point with weight [>= tau]; the callback may raise
-    to stop early.  Used by two-level structures (point enclosure)
-    that monitor cost across several nested queries.  Each node's scan
-    is charged once, after the callback has seen its intervals (up to
-    and including the one it raised on), so the callback itself must
-    charge nothing. *)

@@ -7,6 +7,3 @@
     ([33, 35]) with binary instead of B-ary fanout. *)
 
 include Topk_core.Sigs.PRIORITIZED with module P = Problem
-
-val visit : t -> float * float -> tau:float -> (Wpoint.t -> unit) -> unit
-(** Streaming form; the callback may raise to stop early. *)

@@ -323,3 +323,125 @@ let top_k_by ~key ~id k xs =
     Domain.DLS.get buffers := b;
     Array.to_list out
   end
+
+(* --- Streaming selection ---
+
+   An element that beats the lightest of the current [k] gets a slot:
+   its weight, id and admission number are written once into unboxed
+   per-domain buffers (taken and put back like [top_k_by]'s), and the
+   element itself goes on a list.  Once [k] are held they are
+   heapified; the heap orders slot numbers, so sifting moves ints and
+   never passes a float to a non-inlined function, which would box it. *)
+
+type slots = {
+  w : float array;
+  ids : int array;
+  adm : int array;   (* admission number of the slot's element *)
+  heap : int array;  (* slot numbers; the root is the lightest *)
+}
+
+let no_slots = { w = [||]; ids = [||]; adm = [||]; heap = [||] }
+
+let slot_buffers = Domain.DLS.new_key (fun () -> ref no_slots)
+
+(* [b] with room for twice as many slots. *)
+let grow b =
+  let len = Array.length b.ids in
+  let extend a x =
+    let a' = Array.make (max 16 (2 * len)) x in
+    Array.blit a 0 a' 0 len;
+    a'
+  in
+  { w = extend b.w 0.; ids = extend b.ids 0; adm = extend b.adm 0;
+    heap = extend b.heap 0 }
+
+(* Restore the heap order below position [p]: the lighter child moves
+   up. *)
+let rec sift_down w ids (heap : int array) size p =
+  let l = (2 * p) + 1 in
+  if l < size then begin
+    let r = l + 1 in
+    let c =
+      if r < size && before_at w ids heap.(l) heap.(r) then r else l
+    in
+    let x = Array.unsafe_get heap p and y = Array.unsafe_get heap c in
+    if before_at w ids x y then begin
+      Array.unsafe_set heap p y;
+      Array.unsafe_set heap c x;
+      sift_down w ids heap size c
+    end
+  end
+
+type 'a stream = {
+  mutable b : slots;
+  mutable size : int;
+  mutable count : int;
+  mutable admitted : 'a list;  (* newest first *)
+  mutable admissions : int;
+}
+
+let top_k_iter ~key ~id ~limit k iter =
+  let exception Stop in
+  let slot = Domain.DLS.get slot_buffers in
+  let st = { b = !slot; size = 0; count = 0; admitted = []; admissions = 0 } in
+  slot := no_slots;
+  (* At most [limit] elements are ever admitted: the next one stops. *)
+  let cap = max 0 (min k limit) in
+  match
+    iter (fun e ->
+        let c = st.count + 1 in
+        st.count <- c;
+        if c > limit then raise_notrace Stop;
+        if cap > 0 then begin
+          let x = key e and a = id e in
+          let size = st.size in
+          if size < cap then begin
+            if size = Array.length st.b.ids then st.b <- grow st.b;
+            let b = st.b in
+            Array.unsafe_set b.w size x;
+            Array.unsafe_set b.ids size a;
+            Array.unsafe_set b.adm size st.admissions;
+            Array.unsafe_set b.heap size size;
+            st.admitted <- e :: st.admitted;
+            st.admissions <- st.admissions + 1;
+            st.size <- size + 1;
+            (* The first [cap] are kept unordered; a stream that stops
+               short of [cap] is only sorted. *)
+            if size + 1 = cap then
+              for p = (cap / 2) - 1 downto 0 do
+                sift_down b.w b.ids b.heap cap p
+              done
+          end
+          else begin
+            let b = st.b in
+            let root = Array.unsafe_get b.heap 0 in
+            if before x a (Array.unsafe_get b.w root) (Array.unsafe_get b.ids root)
+            then begin
+              Array.unsafe_set b.w root x;
+              Array.unsafe_set b.ids root a;
+              Array.unsafe_set b.adm root st.admissions;
+              st.admitted <- e :: st.admitted;
+              st.admissions <- st.admissions + 1;
+              sift_down b.w b.ids b.heap size 0
+            end
+          end
+        end)
+  with
+  | exception ex -> (
+      slot := st.b;
+      match ex with Stop -> None | _ -> raise ex)
+  | () ->
+      let b = st.b and size = st.size in
+      (* The heap is spent; it becomes the permutation of the sort. *)
+      for i = 0 to size - 1 do
+        Array.unsafe_set b.heap i i
+      done;
+      sort_range b.w b.ids b.heap [| 0; 0 |] 0 (size - 1) (2 * log2 size);
+      let admitted = Array.of_list st.admitted and last = st.admissions - 1 in
+      let out = ref [] in
+      for r = size - 1 downto 0 do
+        let a = Array.unsafe_get b.adm (Array.unsafe_get b.heap r) in
+        out := Array.unsafe_get admitted (last - a) :: !out
+      done;
+      slot := b;
+      Some (st.count, !out)

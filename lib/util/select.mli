@@ -19,6 +19,25 @@ val top_k_by : key:('a -> float) -> id:('a -> int) -> int -> 'a list -> 'a list
     worst case.  Elements equal on both key and id are interchangeable:
     which of them is kept is unspecified. *)
 
+val top_k_iter :
+  key:('a -> float) ->
+  id:('a -> int) ->
+  limit:int ->
+  int ->
+  (('a -> unit) -> unit) ->
+  (int * 'a list) option
+(** [top_k_iter ~key ~id ~limit k iter] streams the elements [iter]
+    hands to its callback through a count and a bounded [k]-slot heap.
+    If [iter] reports more than [limit] elements, the callback raises
+    out of it on element [limit + 1] and the answer is [None]; that is
+    where a cost-monitored query stops.  Otherwise the answer is
+    [Some (m, top)], with [m] the number of elements reported and [top]
+    equal to [top_k_by ~key ~id k] of them: the [k] heaviest, sorted
+    descending.  Only elements that beat the lightest of the current
+    [k] are admitted, each written once into unboxed per-domain slots;
+    O(m log k) time.  Exceptions other than the stop, raised by [iter]
+    or the callbacks, propagate. *)
+
 val quickselect : ?rng:Rng.t -> cmp:('a -> 'a -> int) -> 'a array -> int -> 'a
 (** [quickselect ~cmp arr i] is the element of rank [i] (0-based, from
     the smallest under [cmp]); expected linear time.  The array is

@@ -162,6 +162,74 @@ module Conformance (I : INSTANCE) = struct
     | Sigs.Truncated _ ->
         Alcotest.failf "%s: empty build truncated at limit=0" I.name
 
+  (* [visit] is the reporting primitive: at tau = -inf and at a
+     matching element's weight it reports exactly [query]'s set (and
+     the oracle's), a callback that raises stops it at once, and the
+     [query_monitored] derived from it keeps its contract at limits
+     0, 1, t - 1 and t. *)
+  let test_visit_law () =
+    let elems, oracle, queries = setup 723 300 in
+    let s = I.Pri.build elems in
+    Array.iter
+      (fun q ->
+        let truth = ids (Oracle.prioritized oracle q ~tau:Float.neg_infinity) in
+        let t = List.length truth in
+        let taus =
+          match Oracle.prioritized oracle q ~tau:Float.neg_infinity with
+          | [] -> [ Float.neg_infinity ]
+          | matching ->
+              let w = List.sort Float.compare (List.map I.P.weight matching) in
+              [ Float.neg_infinity; List.nth w (List.length w / 2) ]
+        in
+        List.iter
+          (fun tau ->
+            let visited = ref [] in
+            I.Pri.visit s q ~tau (fun e -> visited := e :: !visited);
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s: visit = query" I.name)
+              (ids (I.Pri.query s q ~tau))
+              (ids !visited);
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s: visit = oracle" I.name)
+              (ids (Oracle.prioritized oracle q ~tau))
+              (ids !visited))
+          taus;
+        let exception Stop in
+        let calls = ref 0 in
+        (match
+           I.Pri.visit s q ~tau:Float.neg_infinity (fun _ ->
+               incr calls;
+               raise Stop)
+         with
+         | () -> Alcotest.(check int) (I.name ^ ": no match, no call") 0 t
+         | exception Stop ->
+             Alcotest.(check int) (I.name ^ ": stopped at once") 1 !calls);
+        List.iter
+          (fun limit ->
+            if limit >= 0 then
+              match I.Pri.query_monitored s q ~tau:Float.neg_infinity ~limit with
+              | Sigs.All got when limit >= t ->
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "%s: limit=%d >= t=%d complete" I.name
+                       limit t)
+                    truth (ids got)
+              | Sigs.Truncated got when limit < t ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s: limit=%d < t=%d payload" I.name limit
+                       t)
+                    (limit + 1) (List.length got);
+                  List.iter
+                    (fun e ->
+                      if not (List.mem (I.P.id e) truth) then
+                        Alcotest.failf "%s: truncated payload not a match"
+                          I.name)
+                    got
+              | Sigs.All _ | Sigs.Truncated _ ->
+                  Alcotest.failf "%s: limit=%d, t=%d: wrong verdict" I.name
+                    limit t)
+          [ 0; 1; t - 1; t ])
+      queries
+
   let test_max_agrees () =
     let elems, oracle, queries = setup 707 300 in
     let m = I.Max.build elems in
@@ -279,6 +347,8 @@ module Conformance (I : INSTANCE) = struct
         test_monitored_exactness;
       Alcotest.test_case "monitored edge cases (limit 0, t-1, >= t)" `Quick
         test_monitored_edge_cases;
+      Alcotest.test_case "visit = query; derived monitor at 0, 1, t-1, t"
+        `Quick test_visit_law;
       Alcotest.test_case "max agrees with oracle" `Quick test_max_agrees;
       Alcotest.test_case "top-k prefix monotone" `Quick
         test_topk_prefix_monotone;
@@ -569,6 +639,17 @@ module Interval_naive_instance = struct
   let name = "interval-naive"
 end
 
+(* The logarithmic-method wrapper is a PRIORITIZED structure in its
+   own right (its [visit] filters dead elements), and the dynamic
+   Theorem 2 a TOPK one: both keep the static laws. *)
+module Interval_dyn_instance = struct
+  include Interval_instance
+  module Pri = Topk_interval.Instances.Dyn_pri
+  module Topk = Topk_interval.Instances.Dyn_topk
+
+  let name = "interval-dyn"
+end
+
 (* --- the updatable instances --- *)
 
 (* Id-disjoint generators: the dynamic law interleaves several
@@ -717,6 +798,7 @@ module C_interval_t1 = Conformance (Interval_t1_instance)
 module C_interval_rj = Conformance (Interval_rj_instance)
 module C_interval_rjc = Conformance (Interval_rjc_instance)
 module C_interval_naive = Conformance (Interval_naive_instance)
+module C_interval_dyn = Conformance (Interval_dyn_instance)
 module C_range = Conformance (Range_instance)
 module C_enclosure = Conformance (Enclosure_instance)
 module C_dominance = Conformance (Dominance_instance)
@@ -738,6 +820,7 @@ let () =
       ("interval-rj", C_interval_rj.suite);
       ("interval-rj-counting", C_interval_rjc.suite);
       ("interval-naive", C_interval_naive.suite);
+      ("interval-dyn", C_interval_dyn.suite);
       ("range", C_range.suite);
       ("enclosure", C_enclosure.suite);
       ("dominance", C_dominance.suite);

@@ -53,12 +53,11 @@ module Dot_pri = struct
 
   let space_words = Pst.space_words
 
-  let query t q ~tau = Pst.query_list t ~side:Pst.Below ~bound:q ~tau
+  let visit t q ~tau f = Pst.query t ~side:Pst.Below ~bound:q ~tau f
 
-  let query_monitored t q ~tau ~limit =
-    match Pst.query_monitored t ~side:Pst.Below ~bound:q ~tau ~limit with
-    | `All l -> Sigs.All l
-    | `Truncated l -> Sigs.Truncated l
+  let query t q ~tau = Sigs.collect (visit t q ~tau)
+
+  let query_monitored t q ~tau ~limit = Sigs.monitor ~limit (visit t q ~tau)
 end
 
 (* Max 1D dominance: prefix maxima over the position order. *)

@@ -326,6 +326,80 @@ let prop_top_k_by_matches_top_k =
       let xs = kvs (Array.of_list ws) in
       same_elements (Select.top_k ~cmp:kv_cmp k xs) (by_key k xs))
 
+(* [top_k_iter] against the same reference: streamed through a
+   callback that counts its calls, it must answer [None] exactly when
+   more than [limit] elements are reported, having been stopped on
+   element [limit + 1]; otherwise [Some (m, top)] with the elements of
+   [top_k ~cmp k], and every element reported. *)
+let check_top_k_iter ~k ~limit xs =
+  let calls = ref 0 in
+  let iter f =
+    List.iter
+      (fun e ->
+        incr calls;
+        f e)
+      xs
+  in
+  let m = List.length xs in
+  match
+    Select.top_k_iter ~key:(fun e -> e.w) ~id:(fun e -> e.id) ~limit k iter
+  with
+  | None -> m > limit && !calls = limit + 1
+  | Some (count, top) ->
+      m <= limit && count = m && !calls = m
+      && same_elements (Select.top_k ~cmp:kv_cmp k xs) top
+
+let test_top_k_iter_shapes () =
+  List.iter
+    (fun m ->
+      List.iter
+        (fun (shape, weights) ->
+          let xs = kvs weights in
+          let edges = List.sort_uniq Int.compare [ 0; 1; m / 2; m - 1; m; m + 2 ] in
+          List.iter
+            (fun k ->
+              List.iter
+                (fun limit ->
+                  if k >= 0 && limit >= 0 && not (check_top_k_iter ~k ~limit xs)
+                  then
+                    Alcotest.failf "%s m=%d k=%d limit=%d: top_k_iter differs"
+                      shape m k limit)
+                edges)
+            (10 :: edges))
+        (select_shapes m))
+    [ 0; 1; 2; 3; 16; 17; 100; 521 ]
+
+let prop_top_k_iter_matches_top_k =
+  let special =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map float_of_int (int_range (-3) 3));
+          (3, float);
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0. ]);
+        ])
+  in
+  let shaped =
+    QCheck.Gen.(
+      pair (int_bound 300) (int_bound 8) >|= fun (m, i) ->
+      snd (List.nth (select_shapes m) i))
+  in
+  let gen =
+    QCheck.Gen.(
+      oneof [ map Array.of_list (list_size (int_bound 300) special); shaped ]
+      >>= fun ws ->
+      let m = Array.length ws in
+      triple (return ws) (int_bound (m + 2)) (int_bound (m + 2)))
+  in
+  let print (ws, k, limit) =
+    Printf.sprintf "k=%d limit=%d [%s]" k limit
+      (String.concat "; " (Array.to_list (Array.map string_of_float ws)))
+  in
+  QCheck.Test.make ~count:500
+    ~name:"top_k_iter = top_k ~cmp, stopped after limit + 1"
+    (QCheck.make ~print gen)
+    (fun (ws, k, limit) -> check_top_k_iter ~k ~limit (kvs ws))
+
 (* Callers that pass no [?rng] draw pivots from a per-domain stream
    with one seed: two fresh domains permute the same input
    identically, however much the first one drew. *)
@@ -483,6 +557,9 @@ let () =
           Alcotest.test_case "top_k_by on adversarial shapes" `Quick
             test_top_k_by_shapes;
           QCheck_alcotest.to_alcotest prop_top_k_by_matches_top_k;
+          Alcotest.test_case "top_k_iter on adversarial shapes" `Quick
+            test_top_k_iter_shapes;
+          QCheck_alcotest.to_alcotest prop_top_k_iter_matches_top_k;
           Alcotest.test_case "default rng per domain" `Quick
             test_default_rng_per_domain;
         ] );
