@@ -13,6 +13,15 @@ module D_inst = Topk_dominance.Instances
 
 let n = 16_384
 
+(* A Theorem 1 row's name carries its regime, read off [Topk_t1.info]:
+   a core-set chain of one level and no ladder rungs answers by scanning
+   the input with k = f, so such a row times a scan, not the reduction
+   (f >= n/4 at this n for the interval workload). *)
+let thm1_regime ~levels ~rungs =
+  let s n = if n = 1 then "" else "s" in
+  Printf.sprintf "%d level%s, %d rung%s%s" levels (s levels) rungs (s rungs)
+    (if levels = 1 && rungs = 0 then " = scan" else "")
+
 let interval_tests () =
   let elems =
     Workloads.intervals ~seed:900 ~shape:Gen.Mixed_intervals ~n
@@ -27,6 +36,7 @@ let interval_tests () =
   let naive = I_inst.Topk_naive.build elems in
   (* The monitored scan limit of Theorem 2's first round, 4 K_1. *)
   let first_round = 4 * (I_inst.Topk_t2.info t2).k1 in
+  let t1_info = I_inst.Topk_t1.info t1 in
   let cursor = ref 0 in
   let next () =
     cursor := (!cursor + 1) mod Array.length queries;
@@ -43,7 +53,11 @@ let interval_tests () =
                 ~tau:Float.neg_infinity ~limit:first_round)));
     Test.make ~name:"interval/max-query (E5)"
       (Staged.stage (fun () -> ignore (Topk_interval.Slab_max.query mx (next ()))));
-    Test.make ~name:"interval/thm1 top-10 (E4)"
+    Test.make
+      ~name:
+        (Printf.sprintf "interval/thm1 top-10 (E4; %s)"
+           (thm1_regime ~levels:t1_info.chain_levels
+              ~rungs:t1_info.ladder_rungs))
       (Staged.stage (fun () -> ignore (I_inst.Topk_t1.query t1 (next ()) ~k:10)));
     Test.make ~name:"interval/thm2 top-10 (E5)"
       (Staged.stage (fun () -> ignore (I_inst.Topk_t2.query t2 (next ()) ~k:10)));
@@ -244,8 +258,13 @@ let kd_tests () =
     cursor := (!cursor + 1) mod Array.length queries;
     queries.(!cursor)
   in
+  let t1_info = H_inst.Topkd_t1.info t1 in
   [
-    Test.make ~name:"kd4/thm1 top-8 (E10)"
+    Test.make
+      ~name:
+        (Printf.sprintf "kd4/thm1 top-8 (E10; %s)"
+           (thm1_regime ~levels:t1_info.chain_levels
+              ~rungs:t1_info.ladder_rungs))
       (Staged.stage (fun () -> ignore (H_inst.Topkd_t1.query t1 (next ()) ~k:8)));
   ]
 

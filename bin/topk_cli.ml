@@ -2031,7 +2031,6 @@ let cache_bench_cmd =
   let module Transport = Topk_repl.Transport in
   let module G = Topk_repl.Group.Make (IInst.Topk_t2) in
   let module Svc = Topk_service in
-  let module Cache = Topk_cache.Cache in
   let base_arg =
     Arg.(
       value & opt int 400
@@ -2140,28 +2139,44 @@ let cache_bench_cmd =
     in
     let failover_at = queries / 2 in
     (* One full replay of the identical query/update schedule; the two
-       passes differ only in whether the group carries an answer
-       cache, so their charged read I/O is directly comparable. *)
+       passes differ only in whether the client in front of the group
+       carries an answer cache, so their charged read I/O is directly
+       comparable. *)
     let sweep ~use_cache =
       let metrics = Svc.Metrics.create () in
-      let cache =
-        if use_cache then
-          Some
-            (Cache.create ~stripes:8
-               ~capacity:(4 * distinct)
-               ~min_cost:1
-               ~on_evict:(fun () ->
-                 Svc.Metrics.Counter.incr metrics.Svc.Metrics.cache_evictions)
-               ())
-        else None
-      in
       let plan =
         if clean then Transport.clean ~seed
         else Transport.plan ~drop:0.05 ~delay_max:1 ~seed ()
       in
       let g =
         G.create ~params ~buffer_cap:16 ~fanout:2 ~retain:64 ~plan ~metrics
-          ~quorum:2 ~max_pump:120 ?cache ~name:"cache" ~replicas base
+          ~quorum:2 ~max_pump:120 ~name:"cache" ~replicas base
+      in
+      (* Cache entries are tagged with the group's (term, head), so
+         the failover's term bump fences every pre-failover entry. *)
+      let client =
+        Svc.Client.create ~cache:use_cache ~cache_stripes:8
+          ~cache_capacity:(4 * distinct) ~cache_min_cost:1 ~metrics ()
+      in
+      let reader =
+        Svc.Client.attach client
+          ~version:(fun () ->
+            Topk_cache.Version.make ~term:(G.term g) ~seq:(G.head g))
+          (Svc.Client.endpoint ~name:"cache" (fun ?limits:_ ?consistency q ~k ->
+               match G.read ?consistency g q ~k with
+               | Some resp -> resp
+               | None ->
+                   {
+                     Svc.Response.answers = [];
+                     status = Svc.Response.Failed Svc.Error.Shed;
+                     summary = Svc.Response.zero_summary;
+                     trace_id = None;
+                     latency = 0.0;
+                     worker = -1;
+                     instance = "cache";
+                     k;
+                     seq_token = None;
+                   }))
       in
       let violations = ref 0 in
       let fail fmt =
@@ -2266,11 +2281,11 @@ let cache_bench_cmd =
           else (Svc.Consistency.Any, 0)
         in
         incr reads;
-        match G.read ~consistency g q ~k with
-        | None ->
+        match Svc.Client.query_sync ~consistency reader q ~k with
+        | { Svc.Response.status = Svc.Response.Failed Svc.Error.Shed; _ } ->
             fail "read %d refused (%s)" i
               (Svc.Consistency.to_string consistency)
-        | Some resp -> (
+        | resp -> (
             (match resp.Svc.Response.status with
             | Svc.Response.Complete -> ()
             | st ->
@@ -2400,14 +2415,15 @@ let cache_bench_cmd =
   Cmd.v
     (Cmd.info "cache-bench"
        ~doc:
-         "Replay a Zipf-skewed query stream against a replicated group with \
-          the epoch-consistent answer cache on, interleaved with ingestion \
-          and one primary failover, then replay the identical schedule \
-          uncached.  Every answer (hit or miss) must equal the from-scratch \
-          oracle at its seq token, read-your-writes probes must never be \
-          stale, cache hits must charge zero I/O, the skewed run must reach \
-          the required hit rate, and total charged read I/O must drop \
-          versus the uncached pass.  Hard-fails on any violation.")
+         "Replay a Zipf-skewed query stream through a client with the \
+          epoch-consistent answer cache on, in front of a replicated group, \
+          interleaved with ingestion and one primary failover, then replay \
+          the identical schedule uncached.  Every answer (hit or miss) must \
+          equal the from-scratch oracle at its seq token, read-your-writes \
+          probes must never be stale, cache hits must charge zero I/O, the \
+          skewed run must reach the required hit rate, and total charged \
+          read I/O must drop versus the uncached pass.  Hard-fails on any \
+          violation.")
     Term.(
       const run $ base_arg $ k_arg $ seed_arg $ queries_arg $ distinct_arg
       $ theta_arg $ write_every_arg $ replicas_arg $ min_hit_rate_arg

@@ -70,7 +70,6 @@ type 'v stripe = {
 type 'v t = {
   stripes : 'v stripe array;
   mask : int;
-  ttl : float option;
   min_cost : int;
   on_evict : (unit -> unit) option;
   (* stats *)
@@ -149,18 +148,13 @@ let remove s key i =
   s.s_next.(i) <- s.s_free;
   s.s_free <- i
 
-let create ?(stripes = 8) ?(capacity = 4096) ?ttl ?(min_cost = 1) ?on_evict ()
-    =
+let create ?(stripes = 8) ?(capacity = 4096) ?(min_cost = 1) ?on_evict () =
   if stripes < 1 then
     invalid_arg
       (Printf.sprintf "Cache.create: stripes must be >= 1 (got %d)" stripes);
   if capacity < 1 then
     invalid_arg
       (Printf.sprintf "Cache.create: capacity must be >= 1 (got %d)" capacity);
-  (match ttl with
-  | Some s when not (s > 0.) ->
-      invalid_arg (Printf.sprintf "Cache.create: ttl must be positive (got %g)" s)
-  | _ -> ());
   if min_cost < 0 then
     invalid_arg
       (Printf.sprintf "Cache.create: min_cost must be >= 0 (got %d)" min_cost);
@@ -173,7 +167,6 @@ let create ?(stripes = 8) ?(capacity = 4096) ?ttl ?(min_cost = 1) ?on_evict ()
       Array.init n (fun i ->
           make_stripe ((capacity / n) + if i < capacity mod n then 1 else 0));
     mask = n - 1;
-    ttl;
     min_cost;
     on_evict;
     hits = Atomic.make 0;
@@ -187,9 +180,6 @@ let create ?(stripes = 8) ?(capacity = 4096) ?ttl ?(min_cost = 1) ?on_evict ()
 let key ~instance ~qkey = instance ^ "\x00" ^ qkey
 
 let stripe_of t k = t.stripes.(Hashtbl.hash k land t.mask)
-
-let expired t e ~now =
-  match t.ttl with None -> false | Some ttl -> now -. e.e_inserted > ttl
 
 (* Evictions are reported to [on_evict] outside the stripe mutex so
    the callback (typically a metrics counter) cannot deadlock against
@@ -212,19 +202,14 @@ let find t ~instance ~qkey ~current ?(consistency = Consistency.Any) ~k ~now
   Consistency.validate consistency;
   let key = key ~instance ~qkey in
   let s = stripe_of t key in
-  let outcome, evicted =
+  let outcome =
     Mutex.protect s.s_mutex (fun () ->
         match Tbl.find s.s_tbl key with
-        | exception Not_found -> (Miss, 0)
+        | exception Not_found -> Miss
         | slot ->
             let e = slot.sl_entry in
-            if expired t e ~now then begin
-              remove s key slot.sl_pos;
-              (Miss, 1)
-            end
-            else if
-              not (Consistency.admits ~current ~entry:e.e_version consistency)
-            then (Stale, 0)
+            if not (Consistency.admits ~current ~entry:e.e_version consistency)
+            then Stale
             else if k <= e.e_k || e.e_len < e.e_k then begin
               (* Serveable prefix: either the request fits inside the
                  stored rank range, or the stored list already
@@ -232,11 +217,10 @@ let find t ~instance ~qkey ~current ?(consistency = Consistency.Any) ~k ~now
               touch s slot.sl_pos;
               e.e_last_hit <- now;
               e.e_hits <- e.e_hits + 1;
-              (Hit e, 0)
+              Hit e
             end
-            else (Miss, 0))
+            else Miss)
   in
-  report_evictions t evicted;
   (match outcome with
   | Hit _ -> Atomic.incr t.hits
   | Stale -> Atomic.incr t.stale
@@ -261,9 +245,9 @@ let claim s =
 
 let admit t ~instance ~qkey ~version ~k ~len ~cost ~now payload =
   if k < 0 then
-    invalid_arg (Printf.sprintf "Cache.admit: k must be >= 0 (got %d)" k);
+    invalid_arg (Printf.sprintf "Cache: an admitted k must be >= 0 (got %d)" k);
   if len < 0 || cost < 0 then
-    invalid_arg "Cache.admit: len and cost must be >= 0";
+    invalid_arg "Cache: an admitted len and cost must be >= 0";
   if cost < t.min_cost then begin
     Atomic.incr t.bypasses;
     `Bypassed
@@ -294,17 +278,7 @@ let admit t ~instance ~qkey ~version ~k ~len ~cost ~now payload =
               (`Admitted, ev)
           | slot ->
               let e = slot.sl_entry in
-              let replace () =
-                slot.sl_entry <- entry;
-                touch s slot.sl_pos
-              in
-              if expired t e ~now then begin
-                (* The expired entry is reaped and the new one takes
-                   its place: one eviction, one admission. *)
-                replace ();
-                (`Admitted, 1)
-              end
-              else if Version.newer_than e.e_version version then
+              if Version.newer_than e.e_version version then
                 (* Never replace a fresher answer with a staler one:
                    a slow query racing a fast update must not roll the
                    cache back. *)
@@ -314,7 +288,8 @@ let admit t ~instance ~qkey ~version ~k ~len ~cost ~now payload =
                    range — nothing to gain. *)
                 (`Superseded, 0)
               else begin
-                replace ();
+                slot.sl_entry <- entry;
+                touch s slot.sl_pos;
                 (`Admitted, 0)
               end)
     in

@@ -11,8 +11,8 @@
     moves on (or the failover term bumps).
 
     Storage is striped: a key hashes to one of [stripes] independent
-    mutex-protected hash tables, each with exact-LRU eviction in O(1)
-    and an optional TTL, so lookups of different hot keys never
+    mutex-protected hash tables, each with exact-LRU eviction in O(1),
+    so lookups of different hot keys never
     contend.
 
     The cache stores answers of one payload type ['v] (an ['e array]
@@ -37,7 +37,6 @@ type 'v entry = {
 val create :
   ?stripes:int ->
   ?capacity:int ->
-  ?ttl:float ->
   ?min_cost:int ->
   ?on_evict:(unit -> unit) ->
   unit ->
@@ -48,12 +47,12 @@ val create :
     across the stripes as evenly as it divides (the first
     [capacity mod stripes] stripes hold one more), so the cache holds
     exactly [capacity] when full (its hash buckets and recency links,
-    four words per entry, are allocated up front); [ttl] an optional
-    absolute entry lifetime in seconds; [min_cost] (default 1) the admission threshold — an
-    answer whose charged I/O cost is below it is not worth caching
-    and is {!admit}ted as [`Bypassed].  [on_evict] is called once per
-    evicted or expired entry, outside any stripe lock; it must not
-    call back into the cache's write path.
+    four words per entry, are allocated up front); [min_cost]
+    (default 1) the admission threshold — an answer whose charged I/O
+    cost is below it is not worth caching and is {!admit}ted as
+    [`Bypassed].  [on_evict] is called once per evicted entry,
+    outside any stripe lock; it must not call back into the cache's
+    write path.
     @raise Invalid_argument on out-of-range parameters. *)
 
 type 'v outcome =
@@ -80,8 +79,8 @@ val find :
     (its latest op seq and failover term); [consistency] (default
     {!Consistency.Any}) decides which entry versions may serve — see
     {!Consistency.admits}.  A [Hit] requires the stored entry to
-    cover rank [k] (prefix serving).  Expired entries are reaped on
-    the way.
+    cover rank [k] (prefix serving).  [now] stamps a hit's
+    [e_last_hit].
     @raise Invalid_argument on an invalid consistency token. *)
 
 val admit :
@@ -120,7 +119,7 @@ type stats = {
   st_stale : int;  (** lookups refused by the consistency rule *)
   st_admits : int;
   st_bypasses : int;  (** admissions refused below the cost threshold *)
-  st_evictions : int;  (** LRU evictions + TTL expirations *)
+  st_evictions : int;  (** LRU evictions plus invalidated and cleared entries *)
   st_entries : int;
 }
 

@@ -2,8 +2,6 @@ module M = Topk_service.Metrics
 module Clock = Topk_util.Clock
 module Response = Topk_service.Response
 module Consistency = Topk_service.Consistency
-module Cache = Topk_cache.Cache
-module Version = Topk_cache.Version
 module Stats = Topk_em.Stats
 module Tr = Topk_trace.Trace
 
@@ -21,21 +19,17 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
     mutable term : int;
     mutable ship : I.P.elem Log_ship.t;
     window : int;
-    rto : int;
     quorum : int;    (* replica acks a synced write waits for *)
     max_pump : int;  (* write-path tick budget before giving up *)
     metrics : M.t option;
     router : Router.t;
     mutable dropped_seen : int;  (* transport drops already exported *)
-    cache : I.P.elem array Cache.t option;  (* answer cache, term-fenced *)
-    qkey : I.P.query -> string;
   }
 
   let mc t f = match t.metrics with Some m -> M.Counter.incr (f m) | None -> ()
 
-  let create ?params ?buffer_cap ?fanout ?retain ?(window = 8) ?(rto = 6)
-      ?plan ?metrics ?quorum ?(max_pump = 200) ?cache ?qkey ~name ~replicas
-      base =
+  let create ?params ?buffer_cap ?fanout ?retain ?(window = 8) ?plan ?metrics
+      ?quorum ?(max_pump = 200) ~name ~replicas base =
     if replicas < 1 then invalid_arg "Group.create: replicas >= 1";
     if max_pump < 1 then invalid_arg "Group.create: max_pump >= 1";
     let quorum =
@@ -51,7 +45,7 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
           { n = R.create ?params ?buffer_cap ?fanout ?retain ~id:i base;
             alive = true })
     in
-    let ship = Log_ship.attach ~window ~rto (R.outlog nodes.(0).n) in
+    let ship = Log_ship.attach ~window (R.outlog nodes.(0).n) in
     for i = 1 to replicas do
       Log_ship.add_peer ship ~now:0 i
     done;
@@ -63,17 +57,11 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
       term = 0;
       ship;
       window;
-      rto;
       quorum;
       max_pump;
       metrics;
       router = Router.create ();
       dropped_seen = 0;
-      cache;
-      qkey =
-        (match qkey with
-        | Some f -> f
-        | None -> fun q -> Marshal.to_string q []);
     }
 
   let name t = t.name
@@ -210,103 +198,45 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
   let insert t e = write t (fun idx -> I.insert idx e)
   let delete t e = write t (fun idx -> I.delete idx e)
 
-  let mk_response t ~t0 ~k ~worker ~cost ~seq answers =
-    {
-      Response.answers;
-      status = Response.Complete;
-      summary = { Response.zero_summary with cost; rounds = 1; attempts = 1 };
-      trace_id = None;
-      latency = Clock.now () -. t0;
-      worker;
-      instance = t.name;
-      k;
-      seq_token = Some seq;
-    }
-
-  (* Cached answers are tagged [{term; seq}]: [seq] is the applied
-     prefix the answering node computed over, [term] fences failover —
-     after {!fail_primary} bumps the term, every pre-failover entry
-     stops being servable, so a promoted timeline that truncated
-     unsynced writes can never be answered for out of the cache. *)
   let read ?(consistency = Consistency.Any) t q ~k =
     Consistency.validate consistency;
     let t0 = Clock.now () in
-    let current = Version.make ~term:t.term ~seq:(head t) in
-    let qkey = lazy (t.qkey q) in
-    let cached =
-      match t.cache with
-      | None -> None
-      | Some c -> (
-          match
-            Cache.find c ~instance:t.name ~qkey:(Lazy.force qkey) ~current
-              ~consistency ~k ~now:t0 ()
-          with
-          | Cache.Hit e ->
-              (match t.metrics with
-              | Some m ->
-                  M.Counter.incr m.M.cache_hits;
-                  M.Histogram.observe m.M.cache_hit_age_us
-                    (int_of_float ((t0 -. e.Cache.e_inserted) *. 1e6))
-              | None -> ());
-              ignore
-                (Tr.with_root "cache.hit"
-                   ~attrs:
-                     [ ("instance", Tr.Str t.name);
-                       ("k", Tr.Int k);
-                       ("entry_seq", Tr.Int (Version.seq e.Cache.e_version)) ]
-                   (fun () -> ()));
-              Some
-                (mk_response t ~t0 ~k ~worker:(-1) ~cost:Stats.zero_snapshot
-                   ~seq:(Version.seq e.Cache.e_version)
-                   (Cache.prefix e.Cache.e_payload ~k))
-          | Cache.Stale | Cache.Miss ->
-              (match t.metrics with
-              | Some m -> M.Counter.incr m.M.cache_misses
-              | None -> ());
-              None)
+    let cands =
+      Array.to_list
+        (Array.mapi
+           (fun i nd ->
+             {
+               Router.c_id = i;
+               c_applied = R.applied nd.n;
+               c_alive = nd.alive;
+               c_primary = i = t.primary;
+             })
+           t.nodes)
     in
-    match cached with
-    | Some r -> Some r
-    | None -> (
-        let cands =
-          Array.to_list
-            (Array.mapi
-               (fun i nd ->
-                 {
-                   Router.c_id = i;
-                   c_applied = R.applied nd.n;
-                   c_alive = nd.alive;
-                   c_primary = i = t.primary;
-                 })
-               t.nodes)
+    match Router.select t.router ~head:(head t) ~consistency cands with
+    | None -> None
+    | Some id ->
+        let (answers, token, cost), _trace =
+          Tr.with_root "repl.read"
+            ~attrs:[ ("node", Tr.Int id); ("k", Tr.Int k) ]
+            (fun () ->
+              let before = Stats.snapshot () in
+              let answers, token = R.read t.nodes.(id).n q ~k in
+              (answers, token, Stats.diff (Stats.snapshot ()) before))
         in
-        match Router.select t.router ~head:(head t) ~consistency cands with
-        | None -> None
-        | Some id ->
-            let (answers, token, cost), _trace =
-              Tr.with_root "repl.read"
-                ~attrs:[ ("node", Tr.Int id); ("k", Tr.Int k) ]
-                (fun () ->
-                  let before = Stats.snapshot () in
-                  let answers, token = R.read t.nodes.(id).n q ~k in
-                  (answers, token, Stats.diff (Stats.snapshot ()) before))
-            in
-            (match t.cache with
-            | Some c -> (
-                let payload = Array.of_list answers in
-                match
-                  Cache.admit c ~instance:t.name ~qkey:(Lazy.force qkey)
-                    ~version:(Version.make ~term:t.term ~seq:token)
-                    ~k ~len:(Array.length payload) ~cost:cost.Stats.ios
-                    ~now:(Clock.now ()) payload
-                with
-                | `Bypassed -> (
-                    match t.metrics with
-                    | Some m -> M.Counter.incr m.M.cache_bypasses
-                    | None -> ())
-                | `Admitted | `Superseded -> ())
-            | None -> ());
-            Some (mk_response t ~t0 ~k ~worker:id ~cost ~seq:token answers))
+        Some
+          {
+            Response.answers;
+            status = Response.Complete;
+            summary =
+              { Response.zero_summary with cost; rounds = 1; attempts = 1 };
+            trace_id = None;
+            latency = Clock.now () -. t0;
+            worker = id;
+            instance = t.name;
+            k;
+            seq_token = Some token;
+          }
 
   (* Deterministic failover: the (simulated) death of the primary is a
      latched full partition; promotion picks the live replica with the
@@ -338,8 +268,7 @@ module Make (T : Topk_core.Sigs.TOPK) = struct
             R.promote t.nodes.(p).n ~term:t.term;
             t.primary <- p;
             t.ship <-
-              Log_ship.attach ~window:t.window ~rto:t.rto
-                (R.outlog t.nodes.(p).n);
+              Log_ship.attach ~window:t.window (R.outlog t.nodes.(p).n);
             Array.iteri
               (fun i nd ->
                 if nd.alive && i <> p then

@@ -26,13 +26,10 @@ module Make (T : Topk_core.Sigs.TOPK) : sig
     ?fanout:int ->
     ?retain:int ->
     ?window:int ->
-    ?rto:int ->
     ?plan:Transport.plan ->
     ?metrics:Topk_service.Metrics.t ->
     ?quorum:int ->
     ?max_pump:int ->
-    ?cache:I.P.elem array Topk_cache.Cache.t ->
-    ?qkey:(I.P.query -> string) ->
     name:string ->
     replicas:int ->
     I.P.elem array ->
@@ -41,18 +38,18 @@ module Make (T : Topk_core.Sigs.TOPK) : sig
       starts as primary.  [quorum] is the number of {e replica} acks a
       write waits for (default a group majority, [(replicas+1)/2];
       [0] makes writes asynchronous); [max_pump] bounds the ticks a
-      write pumps before reporting {!Lagged}; [retain]/[window]/[rto]
-      parameterize {!Log_ship}; [plan] the {!Transport} faults.
-      [metrics] receives the [repl_*] counters and the [replica_lag]
-      gauge.
+      write pumps before reporting {!Lagged}; [retain]/[window]
+      parameterize {!Log_ship} (at its default rto); [plan]
+      the {!Transport} faults.  [metrics] receives the [repl_*]
+      counters and the [replica_lag] gauge.
 
-      [cache] enables answer caching on {!read}: entries are tagged
-      [(term, seq)] where [seq] is the answering node's applied prefix
-      and [term] the group's failover term, so {!fail_primary}'s term
-      bump implicitly invalidates every pre-failover entry.  [qkey]
-      canonicalizes queries into cache keys (default: marshalled
-      runtime representation — supply it if [I.P.query] contains
-      functions).  @raise Invalid_argument on a bad parameter. *)
+      The group caches nothing.  For cached reads, attach {!read} to a
+      {!Topk_service.Client} as an endpoint with a (term, head)
+      sampler, [fun () -> Topk_cache.Version.make ~term:(term g)
+      ~seq:(head g)]: an entry is then tagged with the answering
+      node's applied prefix and the group's failover term, so
+      {!fail_primary}'s term bump fences every pre-failover entry.
+      @raise Invalid_argument on a bad parameter. *)
 
   (** {1 Writes} *)
 
@@ -77,10 +74,9 @@ module Make (T : Topk_core.Sigs.TOPK) : sig
     I.P.query ->
     k:int ->
     I.P.elem Topk_service.Response.t option
-  (** Route the query per {!Router.select} and answer it on the chosen
-      node's pinned snapshot — or, when the group carries a cache,
-      serve a cached answer whose version the [consistency] level
-      (default [Any]) admits, with zero charged I/O.  The response's
+  (** Route the query per {!Router.select} under the [consistency]
+      level (default [Any]) and answer it on the chosen node's pinned
+      snapshot.  The response's
       {!Topk_service.Response.seq_token} carries the answering
       snapshot's newest applied seq — pass it back as
       [At_least seq_token] for read-your-writes.  [None] when no live

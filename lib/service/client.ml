@@ -39,8 +39,8 @@ type ('q, 'e) handle = {
   prj : univ -> 'e array option;
 }
 
-let create ?(cache = true) ?cache_stripes ?cache_capacity ?cache_ttl
-    ?cache_min_cost ?metrics () =
+let create ?(cache = true) ?cache_stripes ?cache_capacity ?cache_min_cost
+    ?metrics () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
@@ -49,7 +49,7 @@ let create ?(cache = true) ?cache_stripes ?cache_capacity ?cache_ttl
     else
       Some
         (Cache.create ?stripes:cache_stripes ?capacity:cache_capacity
-           ?ttl:cache_ttl ?min_cost:cache_min_cost
+           ?min_cost:cache_min_cost
            ~on_evict:(fun () ->
              Metrics.Counter.incr metrics.Metrics.cache_evictions)
            ())
@@ -204,8 +204,7 @@ let query ?(limits = Limits.none) ?(consistency = Consistency.Any) h q ~k :
       (Printf.sprintf "Client.query: k must be positive (got %d)" k);
   Consistency.validate consistency;
   let since = Clock.now () in
-  let _, deadline = Limits.resolve limits ~now:since in
-  match deadline with
+  match limits.Limits.deadline with
   | Some d when d <= since ->
       (* Dead on arrival: refuse without charging anything. *)
       local_response h ~k ~since (Response.Failed Error.Deadline)

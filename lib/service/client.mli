@@ -32,7 +32,6 @@ val create :
   ?cache:bool ->
   ?cache_stripes:int ->
   ?cache_capacity:int ->
-  ?cache_ttl:float ->
   ?cache_min_cost:int ->
   ?metrics:Metrics.t ->
   unit ->

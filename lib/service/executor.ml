@@ -342,7 +342,7 @@ let create ?workers ?(queue_capacity = 1024) ?(batch_max = 32)
   in
   let sched =
     Sched.create lane_cfg ~deadline:(fun job ->
-        (Request.spec job).Request.deadline)
+        (Request.spec job).Request.limits.Limits.deadline)
   in
   let t =
     {

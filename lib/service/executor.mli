@@ -100,9 +100,9 @@ val submit :
 (** Enqueue a query; blocks while its lane is full ({e backpressure}).
     [lane] defaults to [Interactive]; fan-out layers pass the parent
     query's lane so shard legs inherit its priority.  [limits] bundles
-    the I/O budget and time horizon (default {!Limits.none});
-    {!Topk_shard.Scatter} passes an absolute [Limits.At] horizon so
-    every per-shard leg of a logical query races the same clock.
+    the I/O budget and deadline (default {!Limits.none});
+    {!Topk_shard.Scatter} passes every per-shard leg of a logical
+    query the same deadline.
     @raise Error.Error [(Failed "shutdown")] if the pool has been shut
     down, [Overloaded] if the lane's circuit breaker is open (that
     lane has been failing persistently; shed load and retry later).

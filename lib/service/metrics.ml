@@ -160,10 +160,10 @@ type t = {
   snapshot_installs : Counter.t;   (* replicas caught up by snapshot install *)
   failovers : Counter.t;           (* primary promotions completed *)
   replica_lag : Gauge.t;           (* max replica lag, in op sequences *)
-  (* answer cache (recorded by Client / Topk_cache integrations) *)
+  (* answer cache (recorded by Client) *)
   cache_hits : Counter.t;        (* lookups served from the cache *)
   cache_misses : Counter.t;      (* lookups that fell through *)
-  cache_evictions : Counter.t;   (* entries dropped by LRU/TTL pressure *)
+  cache_evictions : Counter.t;   (* entries dropped by LRU pressure *)
   cache_bypasses : Counter.t;    (* answers too cheap to admit *)
   cache_hit_age_us : Histogram.t;(* age of served entries, microseconds *)
 }

@@ -121,7 +121,7 @@ type t = {
   replica_lag : Gauge.t;      (** repl: max replica lag, in op sequences *)
   cache_hits : Counter.t;     (** cache: lookups served from the cache *)
   cache_misses : Counter.t;   (** cache: lookups that fell through *)
-  cache_evictions : Counter.t;(** cache: entries dropped by LRU/TTL *)
+  cache_evictions : Counter.t;(** cache: entries dropped by LRU *)
   cache_bypasses : Counter.t; (** cache: answers too cheap to admit *)
   cache_hit_age_us : Histogram.t;(** cache: age of served entries, µs *)
 }

@@ -9,7 +9,6 @@ type spec = {
   k : int;
   lane : Lane.t;  (* QoS lane the executor queues this request on *)
   limits : Limits.t;
-  deadline : float option;  (* absolute, resolved at submission *)
   submitted : float;
 }
 
@@ -55,13 +54,13 @@ let prepare (type q e) (handle : (q, e) Registry.handle)
         (Printf.sprintf "Request: budget must be >= 0 (got %d)" b)
   | _ -> ());
   let submitted = Clock.now () in
-  let budget, deadline = Limits.resolve limits ~now:submitted in
+  let { Limits.budget; deadline } = limits in
   (* If the submitter is itself running under a trace (e.g. a scatter
      root), link the worker-side trace of this request back to it. *)
   let parent = Tr.current_trace_id () in
   let info = Registry.info handle in
   let instance = info.Registry.name in
-  let spec = { instance; k; lane; limits; deadline; submitted } in
+  let spec = { instance; k; lane; limits; submitted } in
   let attempts = ref 0 in
   let fut = Future.create () in
   (* [try_fill]: a request can race between its worker and the
@@ -161,9 +160,8 @@ let prepare (type q e) (handle : (q, e) Registry.handle)
 let make_task ~name ?(lane = Lane.Batch) ?(limits = Limits.none)
     (f : unit -> unit) : t * unit Response.t Future.t =
   let submitted = Clock.now () in
-  let _budget, deadline = Limits.resolve limits ~now:submitted in
   let parent = Tr.current_trace_id () in
-  let spec = { instance = name; k = 0; lane; limits; deadline; submitted } in
+  let spec = { instance = name; k = 0; lane; limits; submitted } in
   let attempts = ref 0 in
   let fut = Future.create () in
   let finish ~worker ~attempt ~trace_id status cost =

@@ -2,7 +2,7 @@
 
     A request pairs a registered instance with a query, a result size
     [k], and a {!Limits.t} bundle of service constraints (I/O budget
-    and time horizon).  The element/query types are erased into
+    and deadline).  The element/query types are erased into
     closures so requests for heterogeneous instances travel through
     one queue; the matching typed {!Future.t} is returned to the
     submitter.
@@ -26,8 +26,6 @@ type spec = {
   k : int;
   lane : Lane.t;            (** QoS lane the executor queues this on *)
   limits : Limits.t;        (** as given at {!prepare} *)
-  deadline : float option;
-      (** absolute wall-clock deadline resolved at submission *)
   submitted : float;        (** wall-clock submission time *)
 }
 
@@ -66,10 +64,7 @@ val prepare :
 (** Build a request and the future its response will be delivered on.
     [lane] (default [Interactive]) selects the QoS lane the executor
     queues it on; fan-out layers pass the parent query's lane so every
-    leg inherits its priority.  A relative [Limits.Within] horizon is
-    anchored now (at submission); fan-out layers pass an absolute
-    [Limits.At] so every per-shard leg of one logical query shares a
-    single deadline instead of restarting the clock per leg.
+    leg inherits its priority.
 
     This is serving-infrastructure plumbing: application code should
     go through {!Client.query} (or [Executor.submit]) instead of

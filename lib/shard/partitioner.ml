@@ -68,16 +68,3 @@ let split ~strategy ~shards elems =
       Array.map Array.of_list out
 
 let sizes partition = Array.map Array.length partition
-
-let size_skew partition =
-  if Array.length partition = 0 then 1.0
-  else begin
-    let mx = ref 0 and mn = ref max_int in
-    Array.iter
-      (fun shard ->
-        let s = Array.length shard in
-        if s > !mx then mx := s;
-        if s < !mn then mn := s)
-      partition;
-    float_of_int !mx /. float_of_int (max 1 !mn)
-  end

@@ -38,9 +38,3 @@ val split : strategy:'a strategy -> shards:int -> 'a array -> 'a array array
 
 val sizes : 'a array array -> int array
 (** Per-shard element counts. *)
-
-val size_skew : 'a array array -> float
-(** [max size / max 1 (min size)] over the shards — the imbalance
-    factor that {!Rebalance} bounds.  [1.0] for a perfectly balanced
-    partition; [infinity] is impossible (empty shards count as size 0
-    but the denominator is clamped to 1). *)

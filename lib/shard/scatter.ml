@@ -19,7 +19,7 @@ struct
     pool : Executor.t;
     set : SS.t;
     handles : (P.query, P.elem) Registry.handle array;
-    wave : int;
+    wave : int;  (* shard jobs in flight per round: the worker count *)
     name : string;  (* registration prefix; also the trace instance *)
   }
 
@@ -33,13 +33,7 @@ struct
     empty : int;
   }
 
-  let create ?wave pool registry ~name set =
-    let wave =
-      match wave with Some w -> w | None -> Executor.worker_count pool
-    in
-    if wave <= 0 then
-      invalid_arg
-        (Printf.sprintf "Scatter.create: wave must be positive (got %d)" wave);
+  let create pool registry ~name set =
     let handles =
       Array.map
         (fun (sh : SS.shard) ->
@@ -48,9 +42,7 @@ struct
             (module T) sh.SS.topk)
         (SS.shards set)
     in
-    { pool; set; handles; wave; name }
-
-  let wave t = t.wave
+    { pool; set; handles; wave = Executor.worker_count pool; name }
 
   (* First [n] elements of [l] (or all of them), plus the rest. *)
   let rec take n l =
@@ -71,19 +63,6 @@ struct
           (Printf.sprintf "Scatter.query: budget must be >= 0 (got %d)" b)
     | _ -> ());
     let started = Clock.now () in
-    (* Anchor a relative timeout once, here: every per-shard leg then
-       shares the same absolute deadline instead of restarting the
-       clock per leg. *)
-    let budget, deadline = Limits.resolve limits ~now:started in
-    let leg_limits =
-      {
-        Limits.budget;
-        horizon =
-          (match deadline with
-          | None -> Limits.Unbounded
-          | Some d -> Limits.At d);
-      }
-    in
     let m = Executor.metrics t.pool in
     Metrics.Counter.incr m.Metrics.sharded_queries;
     Stats.mark_query ();
@@ -173,8 +152,8 @@ struct
             | _ ->
                 let now_wave, rest = take t.wave live in
                 (* Submit the whole wave before gathering any leg.
-                   Legs inherit the logical query's lane (and, via
-                   [leg_limits], its absolute deadline): a fan-out
+                   Legs inherit the logical query's lane (and its
+                   limits, so one shared deadline): a fan-out
                    never changes the priority of the work it is part
                    of. *)
                 let futs =
@@ -182,7 +161,7 @@ struct
                     (fun (i, _) ->
                       ( i,
                         Executor.submit t.pool t.handles.(i) ~lane
-                          ~limits:leg_limits q ~k ))
+                          ~limits q ~k ))
                     now_wave
                 in
                 fanout := !fanout + List.length futs;

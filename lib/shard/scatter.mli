@@ -6,12 +6,13 @@
     shard.  Scatter trades a little pruning opportunity for
     parallelism using {e waves}: after the caller-side max-query phase
     ranks shards by their exact upper bounds, the top [wave] live
-    shards are submitted to the pool as independent per-shard jobs
-    (all racing one shared absolute deadline), their responses are
-    gathered, and the {e remaining} shards are re-pruned against the
-    k-th best candidate found so far before the next wave.  With
-    [wave = 1] this degenerates to the planner's fully-adaptive order;
-    with [wave = workers] every worker stays busy.
+    shards ([wave] is the pool's worker count) are submitted to the
+    pool as independent per-shard jobs (all racing one shared
+    deadline), their responses are gathered, and the {e remaining}
+    shards are re-pruned against the k-th best candidate found so far
+    before the next wave.  Every
+    worker stays busy; on a one-worker pool this degenerates to the
+    planner's fully-adaptive order.
 
     Answers are exact (the same argument as the planner's: disjoint
     shards + exact per-shard maxima + pairwise-distinct weights), and
@@ -53,19 +54,14 @@ module Make
   }
 
   val create :
-    ?wave:int ->
     Topk_service.Executor.t ->
     Topk_service.Registry.t ->
     name:string ->
     SS.t ->
     t
   (** Register every shard of the snapshot in [registry] as
-      ["name#i"] and return the fan-out front-end.  [wave] (default:
-      the pool's worker count) is the number of shard jobs in flight
-      per gathering round.
-      @raise Invalid_argument on [wave <= 0] or a duplicate name. *)
-
-  val wave : t -> int
+      ["name#i"] and return the fan-out front-end.
+      @raise Invalid_argument on a duplicate name. *)
 
   val query :
     t ->
@@ -78,10 +74,9 @@ module Make
       until every submitted leg resolves).  [lane] (default
       [Interactive]) is inherited by every submitted per-shard leg, so
       fanning out never changes the priority of the work.
-      [limits.budget] is a per-leg EM-I/O budget; the limits' horizon
-      — relative or absolute — is anchored once at submission and
-      becomes {e one} shared absolute deadline raced by every leg, so
-      a late wave inherits the time its predecessors spent.
+      [limits.budget] is a per-leg EM-I/O budget; [limits.deadline]
+      is {e one} shared deadline raced by every leg, so a late wave
+      inherits the time its predecessors spent.
 
       When tracing is enabled, the whole logical query runs under a
       ["scatter"] root span (bounds phase, prune events, one

@@ -14,8 +14,6 @@ module type S = sig
 
   type t
 
-  type built
-
   val build : ?params:Topk_core.Params.t -> P.elem array array -> t
 
   val of_elems :
@@ -25,15 +23,6 @@ module type S = sig
     P.elem array ->
     t
 
-  val assemble :
-    ?params:Topk_core.Params.t ->
-    [ `Reuse of built | `Build of P.elem array ] list ->
-    t
-
-  val detach : t -> built array
-
-  val built_elems : built -> P.elem array
-
   val shard_count : t -> int
 
   val shards : t -> shard array
@@ -41,8 +30,6 @@ module type S = sig
   val size : t -> int
 
   val space_words : t -> int
-
-  val partition : t -> P.elem array array
 
   val upper_bound : t -> int -> P.query -> float option
 
@@ -70,10 +57,6 @@ module Make
 
   type t = { shard_arr : shard array }
 
-  (* A [built] is a shard whose [index] is meaningless until it is
-     re-assembled. *)
-  type built = shard
-
   let build_one ?params ~index elems =
     let elems = Array.copy elems in
     { index; elems; topk = T.build ?params elems; max = M.build ?params elems }
@@ -87,22 +70,6 @@ module Make
   let of_elems ?params ~strategy ~shards elems =
     build ?params (Partitioner.split ~strategy ~shards elems)
 
-  let assemble ?params pieces =
-    let shard_arr =
-      Array.of_list
-        (List.mapi
-           (fun i piece ->
-             match piece with
-             | `Reuse (b : built) -> { b with index = i }
-             | `Build elems -> build_one ?params ~index:i elems)
-           pieces)
-    in
-    { shard_arr }
-
-  let detach t = Array.copy t.shard_arr
-
-  let built_elems (b : built) = b.elems
-
   let shard_count t = Array.length t.shard_arr
 
   let shards t = t.shard_arr
@@ -114,8 +81,6 @@ module Make
     Array.fold_left
       (fun acc s -> acc + T.space_words s.topk + M.space_words s.max)
       0 t.shard_arr
-
-  let partition t = Array.map (fun s -> Array.copy s.elems) t.shard_arr
 
   let upper_bound t i q =
     Option.map P.weight (M.query t.shard_arr.(i).max q)

@@ -8,10 +8,8 @@
     {!Planner} uses to prune shards that cannot contribute to the
     global top-k.
 
-    The snapshot is immutable by design (like every structure the
-    serving layer registers): {!Rebalance} produces a {e new} snapshot,
-    rebuilding only the shards it touches and reusing the rest
-    structurally via {!detach}/{!assemble}. *)
+    The snapshot is immutable by design, like every structure the
+    serving layer registers. *)
 
 module type S = sig
   module P : Topk_core.Sigs.PROBLEM
@@ -31,10 +29,6 @@ module type S = sig
 
   type t
 
-  type built
-  (** One shard detached from a snapshot, structures included — the
-      unit of reuse for partial rebuilds. *)
-
   val build : ?params:Topk_core.Params.t -> P.elem array array -> t
   (** Build every shard of a disjoint partition.  The partition arrays
       are copied; element [id]s must be unique across the whole
@@ -48,21 +42,6 @@ module type S = sig
     t
   (** Partition then {!build}. *)
 
-  val assemble :
-    ?params:Topk_core.Params.t ->
-    [ `Reuse of built | `Build of P.elem array ] list ->
-    t
-  (** Recompose a snapshot from detached shards and fresh partitions,
-      building structures only for the [`Build] entries — the
-      Bentley–Saxe-flavoured partial rebuild {!Rebalance} relies on.
-      Shard indices are renumbered left to right. *)
-
-  val detach : t -> built array
-
-  val built_elems : built -> P.elem array
-  (** The element slice a detached shard indexes (not copied: treat as
-      read-only). *)
-
   val shard_count : t -> int
 
   val shards : t -> shard array
@@ -71,9 +50,6 @@ module type S = sig
   (** Total elements across shards. *)
 
   val space_words : t -> int
-
-  val partition : t -> P.elem array array
-  (** The per-shard element slices (copies). *)
 
   val upper_bound : t -> int -> P.query -> float option
   (** [upper_bound t i q] is the exact maximum weight among shard [i]'s

@@ -1,9 +1,9 @@
 (* The epoch-consistent answer cache: unit laws over the striped store
-   (admission, prefix serving, LRU/TTL eviction, version supersession,
-   term fencing), the Client facade's cache-transparency laws, the
-   replicated group's cached-vs-uncached equivalence across a
-   failover, stale refusal under a read-your-writes token, and a
-   4-domain race over the striped table. *)
+   (admission, prefix serving, LRU eviction, version supersession,
+   term fencing), the Client facade's cache-transparency laws, a
+   Client in front of a replicated group matching the bare group
+   across a failover, stale refusal under a read-your-writes token,
+   and a 4-domain race over the striped table. *)
 
 module C = Topk_cache.Cache
 module V = Topk_cache.Version
@@ -139,24 +139,6 @@ let test_supersede () =
   | C.Hit e -> Alcotest.(check (list int)) "newest payload" [ 5 ] e.C.e_payload
   | _ -> Alcotest.fail "expected the newest entry"
 
-(* --- TTL expiry --- *)
-
-let test_ttl () =
-  let evicted = ref 0 in
-  let c = C.create ~ttl:10.0 ~on_evict:(fun () -> incr evicted) () in
-  ignore
-    (C.admit c ~instance:"i" ~qkey:"q" ~version:V.static ~k:3 ~len:3 ~cost:9
-       ~now:0.0 [ 1 ]);
-  (match C.find c ~instance:"i" ~qkey:"q" ~current:V.static ~k:3 ~now:5.0 () with
-  | C.Hit _ -> ()
-  | _ -> Alcotest.fail "fresh entry must hit");
-  (match C.find c ~instance:"i" ~qkey:"q" ~current:V.static ~k:3 ~now:10.5 () with
-  | C.Miss -> ()
-  | _ -> Alcotest.fail "expired entry must miss");
-  Alcotest.(check int) "expiry reaped" 0 (C.length c);
-  Alcotest.(check int) "on_evict fired" 1 !evicted;
-  Alcotest.(check int) "expiry counts as eviction" 1 (C.stats c).C.st_evictions
-
 (* --- LRU eviction --- *)
 
 let test_lru () =
@@ -265,7 +247,7 @@ let test_prefix () =
 
 (* The reference keeps its entries in a list ordered by last touch,
    most recent first, and applies the cache's documented rules:
-   TTL reaping on lookup and admission, consistency refusal, prefix
+   consistency refusal, prefix
    coverage, cost bypass, monotone supersession, and eviction of the
    least recently touched entry once over capacity. *)
 module Model = struct
@@ -273,7 +255,6 @@ module Model = struct
     version : V.t;
     k : int;
     len : int;
-    inserted : float;
     payload : int;
     hits : int;
   }
@@ -293,19 +274,12 @@ module Model = struct
     { cap; lru = []; hits = 0; misses = 0; stale = 0; admits = 0;
       bypasses = 0; evictions = 0 }
 
-  let ttl = 5.0
   let min_cost = 2
-  let expired e ~now = now -. e.inserted > ttl
   let drop m key = m.lru <- List.remove_assoc key m.lru
 
-  let find m ~key ~current ~consistency ~k ~now =
+  let find m ~key ~current ~consistency ~k =
     match List.assoc_opt key m.lru with
     | None ->
-        m.misses <- m.misses + 1;
-        `Miss
-    | Some e when expired e ~now ->
-        drop m key;
-        m.evictions <- m.evictions + 1;
         m.misses <- m.misses + 1;
         `Miss
     | Some e when not (Cons.admits ~current ~entry:e.version consistency) ->
@@ -320,11 +294,10 @@ module Model = struct
         m.misses <- m.misses + 1;
         `Miss
 
-  let admit m ~key ~version ~k ~len ~cost ~now ~payload =
+  let admit m ~key ~version ~k ~len ~cost ~payload =
     let install () =
       drop m key;
-      m.lru <-
-        (key, { version; k; len; inserted = now; payload; hits = 0 }) :: m.lru;
+      m.lru <- (key, { version; k; len; payload; hits = 0 }) :: m.lru;
       if List.length m.lru > m.cap then begin
         m.lru <- List.filteri (fun i _ -> i < m.cap) m.lru;
         m.evictions <- m.evictions + 1
@@ -339,10 +312,6 @@ module Model = struct
     else
       match List.assoc_opt key m.lru with
       | None -> install ()
-      | Some e when expired e ~now ->
-          drop m key;
-          m.evictions <- m.evictions + 1;
-          install ()
       | Some e when V.newer_than e.version version -> `Superseded
       | Some e when V.equal e.version version && e.k >= k -> `Superseded
       | Some _ -> install ()
@@ -365,7 +334,6 @@ type model_op =
   | Find of { key : int; seq : int; k : int; level : int }
   | Invalidate of int
   | Clear
-  | Advance of int
 
 let print_model_op = function
   | Admit { key; seq; k; len; cost } ->
@@ -375,7 +343,6 @@ let print_model_op = function
       Printf.sprintf "find(key=%d seq=%d k=%d level=%d)" key seq k level
   | Invalidate key -> Printf.sprintf "invalidate(%d)" key
   | Clear -> "clear"
-  | Advance d -> Printf.sprintf "advance(%d)" d
 
 let gen_model_op =
   let open QCheck.Gen in
@@ -391,7 +358,6 @@ let gen_model_op =
         Find { key; seq; k; level } );
       (1, map (fun key -> Invalidate key) key);
       (1, return Clear);
-      (2, map (fun d -> Advance d) (int_bound 3));
     ]
 
 let arb_model_run =
@@ -412,11 +378,11 @@ let prop_stripe_matches_model =
     arb_model_run (fun (cap, ops) ->
       let evicted = ref 0 in
       let c =
-        C.create ~stripes:1 ~capacity:cap ~ttl:Model.ttl
-          ~min_cost:Model.min_cost ~on_evict:(fun () -> incr evicted) ()
+        C.create ~stripes:1 ~capacity:cap ~min_cost:Model.min_cost
+          ~on_evict:(fun () -> incr evicted) ()
       in
       let m = Model.create cap in
-      let now = ref 0.0 and next_payload = ref 0 in
+      let next_payload = ref 0 in
       let qkey = string_of_int in
       let expect what b = if not b then QCheck.Test.fail_reportf "%s" what in
       List.iter
@@ -427,11 +393,10 @@ let prop_stripe_matches_model =
               let version = v ~term:0 ~seq in
               let got =
                 C.admit c ~instance:"m" ~qkey:(qkey key) ~version ~k ~len ~cost
-                  ~now:!now !next_payload
+                  ~now:0.0 !next_payload
               in
               let want =
-                Model.admit m ~key ~version ~k ~len ~cost ~now:!now
-                  ~payload:!next_payload
+                Model.admit m ~key ~version ~k ~len ~cost ~payload:!next_payload
               in
               expect "admit outcome" (got = want)
           | Find { key; seq; k; level } ->
@@ -439,7 +404,7 @@ let prop_stripe_matches_model =
                 match
                   C.find c ~instance:"m" ~qkey:(qkey key)
                     ~current:(v ~term:0 ~seq)
-                    ~consistency:(consistency_of ~level ~seq) ~k ~now:!now ()
+                    ~consistency:(consistency_of ~level ~seq) ~k ~now:0.0 ()
                 with
                 | C.Hit e -> `Hit (e.C.e_payload, e.C.e_hits)
                 | C.Stale -> `Stale
@@ -447,7 +412,7 @@ let prop_stripe_matches_model =
               in
               let want =
                 Model.find m ~key ~current:(v ~term:0 ~seq)
-                  ~consistency:(consistency_of ~level ~seq) ~k ~now:!now
+                  ~consistency:(consistency_of ~level ~seq) ~k
               in
               expect "find outcome" (got = want)
           | Invalidate key ->
@@ -456,8 +421,7 @@ let prop_stripe_matches_model =
                 = Model.invalidate m ~key)
           | Clear ->
               C.clear c;
-              Model.clear m
-          | Advance d -> now := !now +. float_of_int d);
+              Model.clear m);
           let st = C.stats c and n = List.length m.Model.lru in
           expect "on_evict count" (!evicted = m.Model.evictions);
           expect "stats"
@@ -532,54 +496,51 @@ let test_client_prefix_law () =
   Alcotest.(check int) "budgeted query did not hit" 2
     (Svc.Metrics.Counter.get metrics.Svc.Metrics.cache_hits)
 
-(* The Client reads TTLs off {!Topk_util.Clock}: on a hand-advanced
-   clock an entry hits inside its lifetime and misses past it, with no
-   sleeping. *)
-let test_client_ttl_fake_clock () =
-  let elems = mk_intervals 500 11 in
-  let inst = IInst.Topk_t2.build ~params:(IInst.params ()) elems in
-  let registry = Svc.Registry.create () in
-  let h =
-    Svc.Registry.register registry ~name:"itv" (module IInst.Topk_t2) inst
-  in
-  let metrics = Svc.Metrics.create () in
-  let client = Svc.Client.create ~cache_ttl:10.0 ~metrics () in
-  let ch = Svc.Client.attach client (Svc.Client.direct h) in
-  let count c = Svc.Metrics.Counter.get c in
-  let clock = ref 1000.0 in
-  Topk_util.Clock.with_source (fun () -> !clock) (fun () ->
-      let first = Svc.Client.query_sync ch 0.41 ~k:8 in
-      clock := !clock +. 9.0;
-      let within = Svc.Client.query_sync ch 0.41 ~k:8 in
-      Alcotest.(check int) "hit inside the ttl" 1
-        (count metrics.Svc.Metrics.cache_hits);
-      Alcotest.(check (list int)) "hit equals computed" (ids first)
-        (ids within);
-      clock := !clock +. 2.0;
-      let expired = Svc.Client.query_sync ch 0.41 ~k:8 in
-      Alcotest.(check int) "no hit past the ttl" 1
-        (count metrics.Svc.Metrics.cache_hits);
-      Alcotest.(check int) "misses: cold + expired" 2
-        (count metrics.Svc.Metrics.cache_misses);
-      Alcotest.(check (list int)) "recomputed answer" (ids first)
-        (ids expired))
-
-(* --- replicated group: cached == uncached across a failover --- *)
+(* --- replicated group: a Client in front == the bare group across a
+   failover --- *)
 
 module G = Topk_repl.Group.Make (IInst.Topk_t2)
 
-let mk_group ~cache ~metrics base =
+let mk_group base =
   let plan = Topk_repl.Transport.clean ~seed:31 in
-  G.create ~params:(IInst.params ()) ~plan ?cache ?metrics ~quorum:2
-    ~name:"law" ~replicas:2 base
+  G.create ~params:(IInst.params ()) ~plan ~quorum:2 ~name:"law" ~replicas:2
+    base
+
+(* Cached replicated reads: [G.read] attached to a Client as an
+   endpoint, versioned by the group's (term, head).  [None] is a
+   refusal, as from [G.read]. *)
+let cached_reader ~metrics g =
+  let client = Svc.Client.create ~cache_min_cost:1 ~metrics () in
+  let h =
+    Svc.Client.attach client
+      ~version:(fun () -> V.make ~term:(G.term g) ~seq:(G.head g))
+      (Svc.Client.endpoint ~name:"law" (fun ?limits:_ ?consistency q ~k ->
+           match G.read ?consistency g q ~k with
+           | Some r -> r
+           | None ->
+               {
+                 Svc.Response.answers = [];
+                 status = Svc.Response.Failed Svc.Error.Shed;
+                 summary = Svc.Response.zero_summary;
+                 trace_id = None;
+                 latency = 0.0;
+                 worker = -1;
+                 instance = "law";
+                 k;
+                 seq_token = None;
+               }))
+  in
+  fun ?consistency q ~k ->
+    match Svc.Client.query_sync ?consistency h q ~k with
+    | { Svc.Response.status = Svc.Response.Failed Svc.Error.Shed; _ } -> None
+    | r -> Some r
 
 let test_group_cache_equivalence () =
   let n = 60 in
   let base = mk_intervals n 21 in
   let metrics = Svc.Metrics.create () in
-  let cache = Topk_cache.Cache.create ~min_cost:1 () in
-  let gc = mk_group ~cache:(Some cache) ~metrics:(Some metrics) base in
-  let gu = mk_group ~cache:None ~metrics:None base in
+  let gc = mk_group base and gu = mk_group base in
+  let read_cached = cached_reader ~metrics gc in
   let live = ref (Array.to_list base) in
   let wrng = Rng.create 77 and qrng = Rng.create 78 in
   let next_id = ref (n + 1) in
@@ -623,7 +584,7 @@ let test_group_cache_equivalence () =
              (Topk_util.Select.top_k ~cmp:I.compare_weight 5
                 (List.filter (fun e -> I.contains e q) !live)))
       in
-      match (G.read gc q ~k:5, G.read gu q ~k:5) with
+      match (read_cached q ~k:5, G.read gu q ~k:5) with
       | Some rc, Some ru ->
           incr queries_checked;
           Alcotest.(check (list int)) "cached == oracle" want
@@ -644,15 +605,15 @@ let test_group_stale_refusal () =
   let n = 40 in
   let base = mk_intervals n 51 in
   let metrics = Svc.Metrics.create () in
-  let cache = Topk_cache.Cache.create ~min_cost:1 () in
-  let g = mk_group ~cache:(Some cache) ~metrics:(Some metrics) base in
+  let g = mk_group base in
+  let read = cached_reader ~metrics g in
   let q = 0.5 in
   let e1 = I.make ~id:(n + 1) ~lo:0.0 ~hi:1.0 ~weight:1000.0 () in
   let s1 = G.write_seq (G.insert g e1) in
   Alcotest.(check bool) "settled" true (G.settle g);
   (* Warm the cache at s1. *)
-  ignore (G.read g q ~k:5);
-  (match G.read g q ~k:5 with
+  ignore (read q ~k:5);
+  (match read q ~k:5 with
   | Some r ->
       Alcotest.(check int) "warm hit at s1" 0
         (Svc.Response.cost r).Topk_em.Stats.ios;
@@ -665,7 +626,7 @@ let test_group_stale_refusal () =
   let e2 = I.make ~id:(n + 2) ~lo:0.0 ~hi:1.0 ~weight:2000.0 () in
   let s2 = G.write_seq (G.insert g e2) in
   Alcotest.(check bool) "settled again" true (G.settle g);
-  (match G.read g ~consistency:(Svc.Consistency.At_least s2) q ~k:5 with
+  (match read ~consistency:(Svc.Consistency.At_least s2) q ~k:5 with
   | Some r -> (
       match Svc.Response.seq_token r with
       | Some tok ->
@@ -677,7 +638,7 @@ let test_group_stale_refusal () =
   Alcotest.(check int) "the stale entry did not serve" hits_before
     (Svc.Metrics.Counter.get metrics.Svc.Metrics.cache_hits);
   (* The recomputed answer re-warmed the cache at s2. *)
-  match G.read g q ~k:5 with
+  match read q ~k:5 with
   | Some r ->
       Alcotest.(check int) "re-warmed hit" 0
         (Svc.Response.cost r).Topk_em.Stats.ios;
@@ -760,7 +721,6 @@ let () =
             test_admission_threshold;
           Alcotest.test_case "prefix serving" `Quick test_prefix_serving;
           Alcotest.test_case "version supersession" `Quick test_supersede;
-          Alcotest.test_case "ttl expiry" `Quick test_ttl;
           Alcotest.test_case "lru eviction" `Quick test_lru;
           Alcotest.test_case "term fencing" `Quick test_term_fencing;
           Alcotest.test_case "invalidate and clear" `Quick
@@ -780,7 +740,5 @@ let () =
             test_group_stale_refusal;
           Alcotest.test_case "striped race across 4 domains" `Quick
             test_striped_race;
-          Alcotest.test_case "client ttl on a fake clock" `Quick
-            test_client_ttl_fake_clock;
         ] );
     ]

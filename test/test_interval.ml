@@ -473,6 +473,29 @@ let test_charging_golden () =
     (fault_points (fun q ->
          ignore (Seg.query_monitored seg q ~tau:Float.neg_infinity ~limit:130)))
 
+(* The Mixed build above never truncates a Theorem 2 round: every
+   stab set fits under its round's limit, so top-k scans exactly twice
+   the full stab set (the visit, then the selection over its count).
+   Nested intervals at the same seed and size stab deep enough that
+   early rounds stop at their limit and escalate: each top-k scans more
+   than two full stab scans, and the values below pin what a truncated
+   round charges. *)
+let test_charging_truncated_rounds () =
+  let rng = Rng.create 2016 in
+  let elems =
+    I.of_spans rng (Gen.intervals rng ~shape:Gen.Nested_intervals ~n:4096)
+  in
+  let seg = Seg.build elems
+  and t2 = Inst.Topk_t2.build ~params:(Inst.params ()) elems in
+  Alcotest.(check (list (pair int int)))
+    "(ios, scanned): full stab, then theorem2 top-1/10/100"
+    [ (15488, 524308);
+      (46812, 1740924); (46812, 1740924); (46812, 1740924) ]
+    (measured (fun q -> ignore (Seg.query seg q ~tau:Float.neg_infinity))
+    :: List.map
+         (fun k -> measured (fun q -> ignore (Inst.Topk_t2.query t2 q ~k)))
+         [ 1; 10; 100 ])
+
 let () =
   Alcotest.run "topk_interval"
     [
@@ -532,5 +555,7 @@ let () =
         ] );
       ( "charging",
         [ Alcotest.test_case "golden ios, scans and fault points" `Quick
-            test_charging_golden ] );
+            test_charging_golden;
+          Alcotest.test_case "golden truncated theorem2 rounds" `Quick
+            test_charging_truncated_rounds ] );
     ]

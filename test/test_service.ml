@@ -473,14 +473,11 @@ let test_request_validation () =
     (Invalid_argument "Request: budget must be >= 0 (got -1)") (fun () ->
       ignore
         (Topk_service.Request.prepare fx.itv_h
-           ~limits:{ Limits.budget = Some (-1); horizon = Limits.Unbounded }
+           ~limits:{ Limits.budget = Some (-1); deadline = None }
            0.5 ~k:1));
   Alcotest.check_raises "Limits.make rejects negative budget"
     (Invalid_argument "Limits: budget must be >= 0 (got -2)") (fun () ->
-      ignore (Limits.make ~budget:(-2) ()));
-  Alcotest.check_raises "Limits.make rejects timeout+deadline"
-    (Invalid_argument "Limits.make: pass either ~timeout or ~deadline, not both")
-    (fun () -> ignore (Limits.make ~timeout:1.0 ~deadline:2.0 ()))
+      ignore (Limits.make ~budget:(-2) ()))
 
 (* Metrics histogram math, single-threaded. *)
 let test_metrics_histogram () =

@@ -70,9 +70,10 @@ let test_partitioner_cover () =
     strategies;
   (* Balanced and Range guarantee near-equal sizes. *)
   let p = Partitioner.split ~strategy:Partitioner.Balanced ~shards:8 elems in
+  let sizes = Partitioner.sizes p in
   Alcotest.(check bool)
     "balanced skew is tight" true
-    (Partitioner.size_skew p <= 42. /. 41.)
+    (Array.fold_left max 0 sizes - Array.fold_left min max_int sizes <= 1)
 
 let test_partitioner_validation () =
   let elems = interval_elems 902 10 in
@@ -371,79 +372,14 @@ let test_pruning_saves_io () =
     (cost_planner.Stats.ios < cost_all.Stats.ios)
 
 (* ------------------------------------------------------------------ *)
-(* Rebalance                                                           *)
+(* Scatter: fan-out through the worker pool                            *)
 
 module ISS =
   Topk_shard.Shard_set.Make (Topk_interval.Instances.Topk_t2)
     (Topk_interval.Slab_max)
-module IPlanner = Topk_shard.Planner.Make (ISS)
-module IRebalance = Topk_shard.Rebalance.Make (ISS)
 module IOracle = Topk_core.Oracle.Make (IP)
 
 let iparams = Topk_interval.Instances.params ()
-
-(* A shard set with prescribed shard sizes over [elems]. *)
-let shard_set_with_sizes elems sizes =
-  let pos = ref 0 in
-  let partition =
-    List.map
-      (fun s ->
-        let a = Array.sub elems !pos s in
-        pos := !pos + s;
-        a)
-      sizes
-  in
-  assert (!pos = Array.length elems);
-  ISS.build ~params:iparams (Array.of_list partition)
-
-let test_rebalance_noop () =
-  let elems = interval_elems 931 128 in
-  let t = ISS.of_elems ~params:iparams ~strategy:Partitioner.Balanced ~shards:4 elems in
-  let t', report = IRebalance.rebalance ~params:iparams t in
-  Alcotest.(check bool) "same snapshot" true (t == t');
-  Alcotest.(check int) "no rounds" 0 report.IRebalance.rounds;
-  Alcotest.(check int) "all reused" 4 report.IRebalance.reused
-
-let test_rebalance_partial_rebuild () =
-  let elems = interval_elems 933 100 in
-  let t = shard_set_with_sizes elems [ 50; 25; 24; 1 ] in
-  let before = IRebalance.skew t in
-  let t', report = IRebalance.rebalance ~params:iparams t in
-  Alcotest.(check bool) "skew repaired" true (IRebalance.skew t' <= 2.0);
-  Alcotest.(check bool)
-    "skew decreased" true
-    (report.IRebalance.after_skew < before);
-  Alcotest.(check int) "one round" 1 report.IRebalance.rounds;
-  (* Bentley–Saxe flavour: only the shards whose membership changed
-     were rebuilt; the untouched one was structurally reused. *)
-  Alcotest.(check int) "rebuilt" 3 report.IRebalance.rebuilt;
-  Alcotest.(check int) "reused" 1 report.IRebalance.reused;
-  Alcotest.(check int) "shard count preserved" 4 (ISS.shard_count t');
-  Alcotest.(check int) "no element lost" 100 (ISS.size t')
-
-let test_rebalance_preserves_answers () =
-  let elems = interval_elems 935 400 in
-  let oracle = IOracle.build elems in
-  let t = shard_set_with_sizes elems [ 256; 64; 32; 16; 16; 8; 4; 4 ] in
-  let t', report = IRebalance.rebalance ~params:iparams t in
-  Alcotest.(check bool)
-    (Printf.sprintf "skew %.1f -> %.1f within bound"
-       report.IRebalance.before_skew report.IRebalance.after_skew)
-    true
-    (report.IRebalance.after_skew <= 2.0);
-  Array.iter
-    (fun q ->
-      List.iter
-        (fun k ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "rebalanced top-%d = oracle" k)
-            (List.map IP.id (IOracle.top_k oracle q ~k))
-            (List.map IP.id (IPlanner.query t' q ~k)))
-        [ 1; 5; 20 ])
-    (interval_queries 936 40)
-
-(* ------------------------------------------------------------------ *)
-(* Scatter: fan-out through the worker pool                            *)
 
 module IScatter = Topk_shard.Scatter.Make (ISS) (Topk_interval.Instances.Topk_t2)
 
@@ -563,29 +499,21 @@ let test_scatter_cutoffs () =
       (* Validation. *)
       Alcotest.check_raises "k = 0 rejected"
         (Invalid_argument "Scatter.query: k must be positive (got 0)")
-        (fun () -> ignore (IScatter.query sc queries.(0) ~k:0));
-      Alcotest.check_raises "both timeout and deadline"
-        (Invalid_argument
-           "Limits.make: pass either ~timeout or ~deadline, not both")
-        (fun () ->
-          ignore
-            (IScatter.query sc
-               ~limits:(Limits.make ~timeout:1. ~deadline:1. ())
-               queries.(0) ~k:1)))
+        (fun () -> ignore (IScatter.query sc queries.(0) ~k:0)))
 
 let test_scatter_wave_one_matches () =
-  (* wave = 1 degenerates to the sequential planner's fully-adaptive
-     visit order; answers must still be exact. *)
+  (* On a one-worker pool the wave is 1, which degenerates to the
+     sequential planner's fully-adaptive visit order; answers must
+     still be exact. *)
   let elems = interval_elems 961 800 in
   let oracle = IOracle.build elems in
   let set =
     ISS.of_elems ~params:iparams ~strategy:(Partitioner.Range IP.weight)
       ~shards:8 elems
   in
-  with_pool ~workers:2 (fun pool ->
+  with_pool ~workers:1 (fun pool ->
       let registry = Registry.create () in
-      let sc = IScatter.create ~wave:1 pool registry ~name:"itv" set in
-      Alcotest.(check int) "wave" 1 (IScatter.wave sc);
+      let sc = IScatter.create pool registry ~name:"itv" set in
       Array.iter
         (fun q ->
           let r = IScatter.query sc q ~k:12 in
@@ -619,15 +547,6 @@ let () =
         [
           Alcotest.test_case "pruning beats visit-all on scan shards" `Quick
             test_pruning_saves_io;
-        ] );
-      ( "rebalance",
-        [
-          Alcotest.test_case "already balanced is a no-op" `Quick
-            test_rebalance_noop;
-          Alcotest.test_case "partial rebuild reuses untouched shards" `Quick
-            test_rebalance_partial_rebuild;
-          Alcotest.test_case "answers preserved after repair" `Quick
-            test_rebalance_preserves_answers;
         ] );
       ( "scatter",
         [
