@@ -31,6 +31,15 @@ let interval_tests () =
   let pri = Topk_interval.Seg_stab.build elems in
   let mx = Topk_interval.Slab_max.build elems in
   let t1 = I_inst.Topk_t1.build ~params elems in
+  (* At a sixteenth of the core-set scale, f = 672 < n/4: the same
+     input gets a multi-level chain and a ladder, so this row times
+     the reduction itself. *)
+  let t1_ladder =
+    I_inst.Topk_t1.build
+      ~params:{ params with Topk_core.Params.coreset_scale = 1. /. 16. }
+      elems
+  in
+  let ladder_info = I_inst.Topk_t1.info t1_ladder in
   let t2 = I_inst.Topk_t2.build ~params elems in
   let rj = I_inst.Topk_rj.build elems in
   let naive = I_inst.Topk_naive.build elems in
@@ -59,6 +68,13 @@ let interval_tests () =
            (thm1_regime ~levels:t1_info.chain_levels
               ~rungs:t1_info.ladder_rungs))
       (Staged.stage (fun () -> ignore (I_inst.Topk_t1.query t1 (next ()) ~k:10)));
+    Test.make
+      ~name:
+        (Printf.sprintf "interval/thm1 top-10 (E4; scale 1/16: %s)"
+           (thm1_regime ~levels:ladder_info.chain_levels
+              ~rungs:ladder_info.ladder_rungs))
+      (Staged.stage (fun () ->
+           ignore (I_inst.Topk_t1.query t1_ladder (next ()) ~k:10)));
     Test.make ~name:"interval/thm2 top-10 (E5)"
       (Staged.stage (fun () -> ignore (I_inst.Topk_t2.query t2 (next ()) ~k:10)));
     Test.make ~name:"interval/rj14 top-10 (E7)"

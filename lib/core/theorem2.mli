@@ -30,6 +30,46 @@
     count is O(1) because each fails with probability <= 0.91 and
     [(1 + sigma) . 0.91 < 1] keeps the geometric cost sum bounded. *)
 
+(** {1 The sample ladder and its round walk}
+
+    Shared by {!Make} and {!Theorem2_dynamic.Make}: the two differ
+    only in how they build and maintain the ladder. *)
+
+(** Rung [i]: a max structure on the (1/K_i)-sample [R_i]. *)
+type 'm rung = {
+  max_structure : 'm;
+  ki : int;      (** [ceil K_i], at least 2 *)
+  rate : float;  (** [1 / K_i], the sampling rate of [R_i] *)
+}
+
+(** Round counters of one structure, bumped by {!Walk.query}. *)
+type rounds = { mutable run : int; mutable failed : int }
+
+val ladder : Params.t -> int -> sample:(float -> 'm) -> 'm rung array
+(** [ladder params n ~sample] is the rung geometry for [n] elements:
+    [K_1 = max 1 (coreset_scale . B . Q_max(n))], growing by
+    [(1 + sigma)] while [K_i <= n/4].  [sample K_i] builds rung [i]'s
+    max structure; it is called once per rung, smallest first. *)
+
+module Walk (S : Sigs.PRIORITIZED) (M : Sigs.MAX with module P = S.P) : sig
+  val query :
+    rounds ->
+    M.t rung array ->
+    k1:int ->
+    S.t ->
+    scan:(S.P.query -> k:int -> S.P.elem list) ->
+    S.P.query ->
+    k:int ->
+    S.P.elem list
+  (** [query rounds ladder ~k1 pri ~scan q ~k] runs the rounds above
+      from the smallest rung with [K_j >= max k k1], escalating on
+      failure; past the ladder (or when it is empty) it answers
+      [scan q ~k], the caller's charged scan of [D].  Traced as a
+      ["t2.query"] span with one ["t2.round"] child per round. *)
+end
+
+(** {1 The static structure} *)
+
 module Make (S : Sigs.PRIORITIZED) (M : Sigs.MAX with module P = S.P) : sig
   include Sigs.TOPK with module P = S.P
 

@@ -11,8 +11,11 @@
     rungs are a function of [n], so a global resample fires when the
     live size drifts by a factor of 2 — O(1) amortized extra updates.
 
-    Queries run the same round algorithm as the static
-    {!Theorem2}. *)
+    The ladder geometry is {!Theorem2.ladder} and queries run
+    {!Theorem2.Walk}, the static structure's rounds (traced the same
+    way); only the upkeep above is this module's.  The start rung is
+    chosen against [K_1] of the current ladder, and past the ladder
+    the query scans the live set. *)
 
 module Make
     (S : Sigs.DYNAMIC_PRIORITIZED)

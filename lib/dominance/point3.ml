@@ -30,16 +30,8 @@ let compare_weight a b =
 let pp ppf t =
   Format.fprintf ppf "(%g, %g, %g)@%g#%d" t.x t.y t.z t.weight t.id
 
-let of_coords ?weights rng coords =
-  let n = Array.length coords in
-  let weights =
-    match weights with
-    | Some w ->
-        if Array.length w <> n then
-          invalid_arg "Point3.of_coords: weights length mismatch";
-        w
-    | None -> Topk_util.Gen.distinct_weights rng n
-  in
+let of_coords rng coords =
+  let weights = Topk_util.Gen.distinct_weights rng (Array.length coords) in
   Array.mapi
     (fun i (x, y, z) -> make ~id:(i + 1) ~x ~y ~z ~weight:weights.(i) ())
     coords

@@ -20,8 +20,4 @@ val compare_weight : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 
-val of_coords :
-  ?weights:float array ->
-  Topk_util.Rng.t ->
-  (float * float * float) array ->
-  t array
+val of_coords : Topk_util.Rng.t -> (float * float * float) array -> t array

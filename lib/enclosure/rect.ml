@@ -39,16 +39,8 @@ let x_interval t =
 let y_interval t =
   Topk_interval.Interval.make ~id:t.id ~lo:t.y1 ~hi:t.y2 ~weight:t.weight ()
 
-let of_boxes ?weights rng boxes =
-  let n = Array.length boxes in
-  let weights =
-    match weights with
-    | Some w ->
-        if Array.length w <> n then
-          invalid_arg "Rect.of_boxes: weights length mismatch";
-        w
-    | None -> Topk_util.Gen.distinct_weights rng n
-  in
+let of_boxes rng boxes =
+  let weights = Topk_util.Gen.distinct_weights rng (Array.length boxes) in
   Array.mapi
     (fun i (x1, x2, y1, y2) ->
       make ~id:(i + 1) ~x1 ~x2 ~y1 ~y2 ~weight:weights.(i) ())

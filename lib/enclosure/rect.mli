@@ -29,9 +29,6 @@ val x_interval : t -> Topk_interval.Interval.t
 val y_interval : t -> Topk_interval.Interval.t
 
 val of_boxes :
-  ?weights:float array ->
-  Topk_util.Rng.t ->
-  (float * float * float * float) array ->
-  t array
+  Topk_util.Rng.t -> (float * float * float * float) array -> t array
 (** Attach ids and distinct weights to raw [(x1, x2, y1, y2)] boxes
     from {!Topk_util.Gen.rectangles}. *)

@@ -35,16 +35,8 @@ let dist2 p (cx, cy) =
 
 let pp ppf p = Format.fprintf ppf "(%g, %g)@%g#%d" p.x p.y p.weight p.id
 
-let of_coords ?weights rng coords =
-  let n = Array.length coords in
-  let weights =
-    match weights with
-    | Some w ->
-        if Array.length w <> n then
-          invalid_arg "Point2.of_coords: weights length mismatch";
-        w
-    | None -> Topk_util.Gen.distinct_weights rng n
-  in
+let of_coords rng coords =
+  let weights = Topk_util.Gen.distinct_weights rng (Array.length coords) in
   Array.mapi
     (fun i (x, y) -> make ~id:(i + 1) ~x ~y ~weight:weights.(i) ())
     coords

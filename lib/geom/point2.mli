@@ -26,6 +26,5 @@ val dist2 : t -> float * float -> float
 
 val pp : Format.formatter -> t -> unit
 
-val of_coords :
-  ?weights:float array -> Topk_util.Rng.t -> (float * float) array -> t array
+val of_coords : Topk_util.Rng.t -> (float * float) array -> t array
 (** Attach distinct weights and fresh ids to raw coordinates. *)

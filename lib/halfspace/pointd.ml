@@ -52,16 +52,8 @@ let pp ppf t =
        (Array.to_list (Array.map (Printf.sprintf "%g") t.coords)))
     t.weight t.id
 
-let of_coords ?weights rng coords =
-  let n = Array.length coords in
-  let weights =
-    match weights with
-    | Some w ->
-        if Array.length w <> n then
-          invalid_arg "Pointd.of_coords: weights length mismatch";
-        w
-    | None -> Topk_util.Gen.distinct_weights rng n
-  in
+let of_coords rng coords =
+  let weights = Topk_util.Gen.distinct_weights rng (Array.length coords) in
   Array.mapi
     (fun i c -> make ~id:(i + 1) ~coords:c ~weight:weights.(i) ())
     coords

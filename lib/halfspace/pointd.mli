@@ -23,8 +23,7 @@ val dist2 : t -> float array -> float
 
 val pp : Format.formatter -> t -> unit
 
-val of_coords :
-  ?weights:float array -> Topk_util.Rng.t -> float array array -> t array
+val of_coords : Topk_util.Rng.t -> float array array -> t array
 (** Attach distinct weights and fresh ids to raw coordinate vectors
     (e.g. {!Topk_util.Gen.points}). *)
 

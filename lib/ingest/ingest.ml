@@ -156,92 +156,18 @@ module Make (T : Sigs.TOPK) = struct
     | Some s ->
         s.s_event ev ~runs:(run_datas_locked t) ~log:(log_entries_locked t)
 
-  let create ?params ?(buffer_cap = 1024) ?(fanout = 4) ?pool ?metrics ?sink
-      elems =
+  (* The one constructor: [entry] names the public entry point in
+     validation errors; [runs ()] builds the run list (newest first)
+     and its live count once the shared arguments are valid. *)
+  let make ~entry ?params ~buffer_cap ~fanout ?pool ?metrics ?sink ~seq runs =
     if buffer_cap < 1 then
       invalid_arg
-        (Printf.sprintf "Ingest.create: buffer_cap must be >= 1 (got %d)"
+        (Printf.sprintf "%s: buffer_cap must be >= 1 (got %d)" entry
            buffer_cap);
     if fanout < 2 then
       invalid_arg
-        (Printf.sprintf "Ingest.create: fanout must be >= 2 (got %d)" fanout);
-    let metrics = Executor.resolve_metrics ?metrics pool in
-    let elems = Array.copy elems in
-    let base =
-      mk_run ?params
-        ~level:(level_of_size ~cap:buffer_cap ~fanout (Array.length elems))
-        ~seq:0
-        ~dead:(Hashtbl.create 1) elems
-    in
-    {
-      mu = Mutex.create ();
-      params;
-      buffer_cap;
-      fanout;
-      name = "ingest(" ^ T.name ^ ")";
-      epochs = Epoch.create [ base ];
-      log = Log.create ~cap:buffer_cap;
-      log_state = Hashtbl.create (max 16 buffer_cap);
-      seq = 1;
-      live = Array.length elems;
-      frozen = false;
-      merging = false;
-      wedged = false;
-      merge_gen = 0;
-      pending = None;
-      pool;
-      metrics;
-      sink;
-    }
-
-  (* Rebuild a wrapper from recovered run descriptions (newest first,
-     the base run last) — the re-entry point of {!Topk_durable.Store}
-     after a crash.  [next_seq] must exceed every sequence number baked
-     into [runs]; subsequent updates continue the stream from there. *)
-  let restore ?params ?(buffer_cap = 1024) ?(fanout = 4) ?pool ?metrics ?sink
-      ~runs ~next_seq () =
-    if buffer_cap < 1 then
-      invalid_arg
-        (Printf.sprintf "Ingest.restore: buffer_cap must be >= 1 (got %d)"
-           buffer_cap);
-    if fanout < 2 then
-      invalid_arg
-        (Printf.sprintf "Ingest.restore: fanout must be >= 2 (got %d)" fanout);
-    if runs = [] then invalid_arg "Ingest.restore: runs must be non-empty";
-    if next_seq < 1 then
-      invalid_arg
-        (Printf.sprintf "Ingest.restore: next_seq must be >= 1 (got %d)"
-           next_seq);
-    List.iter
-      (fun rd ->
-        if rd.rd_seq >= next_seq then
-          invalid_arg
-            (Printf.sprintf
-               "Ingest.restore: run seq %d is not below next_seq %d" rd.rd_seq
-               next_seq))
-      runs;
-    let metrics = Executor.resolve_metrics ?metrics pool in
-    let rebuild rd =
-      let dead = Hashtbl.create (max 1 (Array.length rd.rd_dead)) in
-      Array.iter (fun i -> Hashtbl.replace dead i ()) rd.rd_dead;
-      mk_run ?params ~level:rd.rd_level ~seq:rd.rd_seq ~dead rd.rd_elems
-    in
-    let rs = List.map rebuild runs in
-    (* Surviving-element count: replay newest-first, ids shadowed by a
-       newer run's ids or tombstones are not live. *)
-    let killed = Hashtbl.create 64 in
-    let live = ref 0 in
-    List.iter
-      (fun r ->
-        Hashtbl.iter
-          (fun i () ->
-            if not (Hashtbl.mem killed i) then begin
-              incr live;
-              Hashtbl.replace killed i ()
-            end)
-          r.r_ids;
-        Hashtbl.iter (fun i () -> Hashtbl.replace killed i ()) r.r_dead)
-      rs;
+        (Printf.sprintf "%s: fanout must be >= 2 (got %d)" entry fanout);
+    let rs, live = runs () in
     {
       mu = Mutex.create ();
       params;
@@ -251,17 +177,70 @@ module Make (T : Sigs.TOPK) = struct
       epochs = Epoch.create rs;
       log = Log.create ~cap:buffer_cap;
       log_state = Hashtbl.create (max 16 buffer_cap);
-      seq = next_seq;
-      live = !live;
+      seq;
+      live;
       frozen = false;
       merging = false;
       wedged = false;
       merge_gen = 0;
       pending = None;
       pool;
-      metrics;
+      metrics = Executor.resolve_metrics ?metrics pool;
       sink;
     }
+
+  let create ?params ?(buffer_cap = 1024) ?(fanout = 4) ?pool ?metrics ?sink
+      elems =
+    make ~entry:"Ingest.create" ?params ~buffer_cap ~fanout ?pool ?metrics
+      ?sink ~seq:1 (fun () ->
+        let elems = Array.copy elems in
+        let n = Array.length elems in
+        let level = level_of_size ~cap:buffer_cap ~fanout n in
+        ([ mk_run ?params ~level ~seq:0 ~dead:(Hashtbl.create 1) elems ], n))
+
+  (* Rebuild a wrapper from recovered run descriptions (newest first,
+     the base run last) — the re-entry point of {!Topk_durable.Store}
+     after a crash.  [next_seq] must exceed every sequence number baked
+     into [runs]; subsequent updates continue the stream from there. *)
+  let restore ?params ?(buffer_cap = 1024) ?(fanout = 4) ?pool ?metrics ?sink
+      ~runs ~next_seq () =
+    make ~entry:"Ingest.restore" ?params ~buffer_cap ~fanout ?pool ?metrics
+      ?sink ~seq:next_seq (fun () ->
+        if runs = [] then invalid_arg "Ingest.restore: runs must be non-empty";
+        if next_seq < 1 then
+          invalid_arg
+            (Printf.sprintf "Ingest.restore: next_seq must be >= 1 (got %d)"
+               next_seq);
+        List.iter
+          (fun rd ->
+            if rd.rd_seq >= next_seq then
+              invalid_arg
+                (Printf.sprintf
+                   "Ingest.restore: run seq %d is not below next_seq %d"
+                   rd.rd_seq next_seq))
+          runs;
+        let rebuild rd =
+          let dead = Hashtbl.create (max 1 (Array.length rd.rd_dead)) in
+          Array.iter (fun i -> Hashtbl.replace dead i ()) rd.rd_dead;
+          mk_run ?params ~level:rd.rd_level ~seq:rd.rd_seq ~dead rd.rd_elems
+        in
+        let rs = List.map rebuild runs in
+        (* Surviving-element count: replay newest-first, ids shadowed by
+           a newer run's ids or tombstones are not live. *)
+        let killed = Hashtbl.create 64 in
+        let live = ref 0 in
+        List.iter
+          (fun r ->
+            Hashtbl.iter
+              (fun i () ->
+                if not (Hashtbl.mem killed i) then begin
+                  incr live;
+                  Hashtbl.replace killed i ()
+                end)
+              r.r_ids;
+            Hashtbl.iter (fun i () -> Hashtbl.replace killed i ()) r.r_dead)
+          rs;
+        (rs, !live))
 
   (* ---- level manager: merge selection ---- *)
 

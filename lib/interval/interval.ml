@@ -28,16 +28,8 @@ let compare_weight a b =
 let pp ppf t =
   Format.fprintf ppf "[%g, %g]@%g#%d" t.lo t.hi t.weight t.id
 
-let of_spans ?weights rng spans =
-  let n = Array.length spans in
-  let weights =
-    match weights with
-    | Some w ->
-        if Array.length w <> n then
-          invalid_arg "Interval.of_spans: weights length mismatch";
-        w
-    | None -> Topk_util.Gen.distinct_weights rng n
-  in
+let of_spans rng spans =
+  let weights = Topk_util.Gen.distinct_weights rng (Array.length spans) in
   Array.mapi
     (fun i (lo, hi) -> make ~id:(i + 1) ~lo ~hi ~weight:weights.(i) ())
     spans

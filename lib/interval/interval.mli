@@ -20,7 +20,6 @@ val compare_weight : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 
-val of_spans :
-  ?weights:float array -> Topk_util.Rng.t -> (float * float) array -> t array
-(** Attach ids and weights (fresh distinct ones unless [?weights]) to
-    raw spans from {!Topk_util.Gen.intervals}. *)
+val of_spans : Topk_util.Rng.t -> (float * float) array -> t array
+(** Attach ids and fresh distinct weights to raw spans from
+    {!Topk_util.Gen.intervals}. *)

@@ -29,16 +29,8 @@ let compare_pos a b =
 
 let pp ppf t = Format.fprintf ppf "%g@%g#%d" t.pos t.weight t.id
 
-let of_positions ?weights rng positions =
-  let n = Array.length positions in
-  let weights =
-    match weights with
-    | Some w ->
-        if Array.length w <> n then
-          invalid_arg "Wpoint.of_positions: weights length mismatch";
-        w
-    | None -> Topk_util.Gen.distinct_weights rng n
-  in
+let of_positions rng positions =
+  let weights = Topk_util.Gen.distinct_weights rng (Array.length positions) in
   Array.mapi
     (fun i pos -> make ~id:(i + 1) ~pos ~weight:weights.(i) ())
     positions

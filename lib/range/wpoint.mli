@@ -18,5 +18,4 @@ val compare_pos : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 
-val of_positions :
-  ?weights:float array -> Topk_util.Rng.t -> float array -> t array
+val of_positions : Topk_util.Rng.t -> float array -> t array

@@ -178,23 +178,17 @@ let run_direct handle ?limits q ~k =
   let req, fut = Request.prepare handle ?limits q ~k in
   (* The calling domain is the worker: retry transient faults like the
      pool would, with no backoff (there is no queue to yield to). *)
-  let rec go retries =
+  let rec go () =
     match Request.run req ~worker:(-1) with
     | Request.Completed _ -> ()
-    | Request.Transient msg ->
-        if retries >= Executor.default_retry_policy.Executor.max_retries
-        then
-          ignore
-            (Request.abort req ~worker:(-1)
-               ~reason:
-                 (Error.Failed
-                    (Printf.sprintf
-                       "transient fault persisted after %d attempts: %s"
-                       (Request.attempts req) msg))
-              : Request.outcome)
-        else go (retries + 1)
+    | Request.Transient msg -> (
+        match
+          Executor.give_up Executor.default_retry_policy req ~worker:(-1) msg
+        with
+        | Some _ -> ()
+        | None -> go ())
   in
-  go 0;
+  go ();
   fut
 
 let query ?(limits = Limits.none) ?(consistency = Consistency.Any) h q ~k :

@@ -13,6 +13,17 @@ type retry_policy = {
 let default_retry_policy =
   { max_retries = 3; base_backoff = 0.001; max_backoff = 0.05; jitter = 0.5 }
 
+let give_up policy req ~worker msg =
+  let attempts = Request.attempts req in
+  if attempts <= policy.max_retries then None
+  else
+    Some
+      (Request.abort req ~worker
+         ~reason:
+           (Error.Failed
+              (Printf.sprintf "transient fault persisted after %d attempts: %s"
+                 attempts msg)))
+
 (* --- worker slots ---
 
    One slot per worker index.  The domain occupying a slot changes over
@@ -154,19 +165,11 @@ let process_job t idx job =
   | Request.Completed outcome -> record_final t job outcome
   | Request.Transient msg ->
       Metrics.Counter.incr t.metrics.faults_injected;
-      let attempt = Request.attempts job in
-      if attempt > t.retry.max_retries then begin
-        let reason =
-          Error.Failed
-            (Printf.sprintf "transient fault persisted after %d attempts: %s"
-               attempt msg)
-        in
-        record_final t job (Request.abort job ~worker:idx ~reason)
-      end
-      else begin
-        Metrics.Counter.incr t.metrics.retries;
-        park t job (backoff_delay t attempt)
-      end
+      (match give_up t.retry job ~worker:idx msg with
+      | Some outcome -> record_final t job outcome
+      | None ->
+          Metrics.Counter.incr t.metrics.retries;
+          park t job (backoff_delay t (Request.attempts job)))
 
 (* An idle worker spins on [queued] for [Spin.bound] before it takes
    the mutex and parks on [not_empty]: a job submitted within the
@@ -411,13 +414,14 @@ let inject_worker_crash t idx =
 
 let shut_down () = Error.fail (Error.Failed "shutdown")
 
+(* The lane's breaker verdict; a refusal is counted as shed. *)
 let admit t lane =
-  if not (Breaker.admit t.breakers.(Lane.index lane) ~now:(Clock.now ()))
-  then begin
+  let ok = Breaker.admit t.breakers.(Lane.index lane) ~now:(Clock.now ()) in
+  if not ok then begin
     Metrics.Counter.incr t.metrics.breaker_rejected;
-    Metrics.Counter.incr t.metrics.lane_shed.(Lane.index lane);
-    Error.fail Error.Overloaded
-  end
+    Metrics.Counter.incr t.metrics.lane_shed.(Lane.index lane)
+  end;
+  ok
 
 let accept_locked t lane req =
   Sched.push t.sched lane req;
@@ -433,7 +437,7 @@ let enqueue_blocking t req =
   let lane = lane_of req in
   Mutex.protect t.mutex (fun () ->
       if Atomic.get t.stopping then shut_down ();
-      admit t lane;
+      if not (admit t lane) then Error.fail Error.Overloaded;
       (* Backpressure is per lane: a full batch lane blocks only batch
          producers; interactive submissions keep flowing. *)
       while
@@ -449,12 +453,7 @@ let enqueue_nonblocking t req =
   let accepted =
     Mutex.protect t.mutex (fun () ->
         if Atomic.get t.stopping then shut_down ();
-        if not (Breaker.admit t.breakers.(Lane.index lane) ~now:(Clock.now ()))
-        then begin
-          Metrics.Counter.incr t.metrics.breaker_rejected;
-          Metrics.Counter.incr t.metrics.lane_shed.(Lane.index lane);
-          `Breaker
-        end
+        if not (admit t lane) then `Breaker
         else if not (Sched.has_room t.sched lane) then `Full
         else begin
           accept_locked t lane req;

@@ -68,6 +68,14 @@ type retry_policy = {
 val default_retry_policy : retry_policy
 (** 3 retries, 1ms base, 50ms cap, jitter 0.5. *)
 
+val give_up :
+  retry_policy -> Request.t -> worker:int -> string -> Request.outcome option
+(** [give_up policy req ~worker msg], after [req]'s attempt failed with
+    the transient fault [msg]: [None] while [policy] allows another
+    attempt, otherwise [Some] of {!Request.abort} with a "transient
+    fault persisted" reason.  The pool and a direct {!Client} source
+    share this decision. *)
+
 val create :
   ?workers:int ->
   ?queue_capacity:int ->

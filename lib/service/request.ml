@@ -43,31 +43,28 @@ let spec t = t.spec
 
 let attempts t = !(t.attempts)
 
-let prepare (type q e) (handle : (q, e) Registry.handle)
-    ?(lane = Lane.Interactive) ?(limits = Limits.none) (q : q) ~k :
-    t * e Response.t Future.t =
-  if k <= 0 then
-    invalid_arg (Printf.sprintf "Request: k must be positive (got %d)" k);
-  (match limits.Limits.budget with
-  | Some b when b < 0 ->
-      invalid_arg
-        (Printf.sprintf "Request: budget must be >= 0 (got %d)" b)
-  | _ -> ());
+(* The one request lifecycle, shared by queries and tasks.  [exec]
+   runs an attempt's work under the root span [root] (after a
+   [sched.dispatch] event) and returns its answers, status, cost and
+   rounds.  A transient [Em_fault] escaping it leaves the future empty
+   for a retry; any other exception fails the request.  [certify]
+   judges a completed attempt's cost after its span has closed.  A
+   request failed without running ([abort], or an exception) reports
+   zero cost and [idle_rounds] rounds. *)
+let lifecycle ~instance ~k ~lane ~limits ~root ~attrs ~idle_rounds ~certify
+    exec =
   let submitted = Clock.now () in
-  let { Limits.budget; deadline } = limits in
   (* If the submitter is itself running under a trace (e.g. a scatter
      root), link the worker-side trace of this request back to it. *)
   let parent = Tr.current_trace_id () in
-  let info = Registry.info handle in
-  let instance = info.Registry.name in
   let spec = { instance; k; lane; limits; submitted } in
   let attempts = ref 0 in
   let fut = Future.create () in
   (* [try_fill]: a request can race between its worker and the
      shutdown sweep; the first resolution wins and the other becomes a
      no-op instead of an exception that could kill a worker domain. *)
-  let finish ~worker ~attempt ~trace_id ~certified answers status cost rounds
-      =
+  let finish ~worker ~attempt ~trace_id ~certified
+      (answers, status, cost, rounds) =
     let latency = Clock.now () -. submitted in
     ignore
       (Future.try_fill fut
@@ -91,17 +88,17 @@ let prepare (type q e) (handle : (q, e) Registry.handle)
       o_verdict = Option.map (fun v -> v.Certify.v_ok) certified;
     }
   in
+  let failed reason =
+    ([], Response.Failed reason, Stats.zero_snapshot, idle_rounds)
+  in
   let run_ ~worker ~attempt =
     (* The whole attempt runs under a root span on the worker domain.
        A transient fault is caught *inside* the traced region so every
        open span unwinds before the executor decides to retry. *)
     let outcome, trace =
-      Tr.with_root ?parent "request"
+      Tr.with_root ?parent root
         ~attrs:
-          [ ("instance", Tr.Str instance);
-            ("k", Tr.Int k);
-            ("attempt", Tr.Int attempt);
-            ("worker", Tr.Int worker) ]
+          (attrs @ [ ("attempt", Tr.Int attempt); ("worker", Tr.Int worker) ])
         (fun () ->
           (* The dispatch span: which lane the scheduler served this
              request from and how long it queued before a worker
@@ -113,40 +110,53 @@ let prepare (type q e) (handle : (q, e) Registry.handle)
                  Tr.Int
                    (int_of_float
                       ((Clock.now () -. submitted) *. 1e6))) ];
-          match Registry.h_exec handle q ~k ~budget ~deadline with
+          match exec () with
           | result -> `Done result
           | exception Fault.Em_fault msg -> `Fault msg
           | exception e -> `Raised (Printexc.to_string e))
     in
     let trace_id = Option.map (fun (tr : Tr.t) -> tr.Tr.id) trace in
     match outcome with
-    | `Done (answers, status, cost, rounds) ->
-        (* Certify complete answers against the instance's registered
-           cost model, if any; cutoffs did strictly less work than the
-           bound assumes, so they are certified too.  Failures are not
-           checked. *)
-        let certified =
-          match status with
-          | Response.Failed _ -> None
-          | _ ->
-              Certify.evaluate ~instance ~k ~measured:cost.Stats.ios ()
-        in
+    | `Done ((_, status, cost, _) as result) ->
         Completed
-          (finish ~worker ~attempt ~trace_id ~certified answers status cost
-             rounds)
+          (finish ~worker ~attempt ~trace_id ~certified:(certify status cost)
+             result)
     | `Fault msg ->
         (* Retryable: the future stays empty for the next attempt. *)
         Transient msg
     | `Raised msg ->
         Completed
-          (finish ~worker ~attempt ~trace_id ~certified:None []
-             (Response.Failed (Error.Failed msg)) Stats.zero_snapshot 0)
+          (finish ~worker ~attempt ~trace_id ~certified:None
+             (failed (Error.Failed msg)))
   in
   let abort_ ~worker ~reason =
-    finish ~worker ~attempt:!attempts ~trace_id:None ~certified:None []
-      (Response.Failed reason) Stats.zero_snapshot 0
+    finish ~worker ~attempt:!attempts ~trace_id:None ~certified:None
+      (failed reason)
   in
   ({ spec; attempts; run_; abort_ }, fut)
+
+let prepare handle ?(lane = Lane.Interactive) ?(limits = Limits.none) q ~k =
+  if k <= 0 then
+    invalid_arg (Printf.sprintf "Request: k must be positive (got %d)" k);
+  (match limits.Limits.budget with
+  | Some b when b < 0 ->
+      invalid_arg
+        (Printf.sprintf "Request: budget must be >= 0 (got %d)" b)
+  | _ -> ());
+  let { Limits.budget; deadline } = limits in
+  let instance = (Registry.info handle).Registry.name in
+  (* Certify complete answers against the instance's registered cost
+     model, if any; cutoffs did strictly less work than the bound
+     assumes, so they are certified too.  Failures are not checked. *)
+  let certify status cost =
+    match status with
+    | Response.Failed _ -> None
+    | _ -> Certify.evaluate ~instance ~k ~measured:cost.Stats.ios ()
+  in
+  lifecycle ~instance ~k ~lane ~limits ~root:"request"
+    ~attrs:[ ("instance", Tr.Str instance); ("k", Tr.Int k) ]
+    ~idle_rounds:0 ~certify
+    (fun () -> Registry.h_exec handle q ~k ~budget ~deadline)
 
 (* A background job (e.g. an ingest level merge) travelling the same
    scheduler as queries — on its own QoS lane ([Batch] by default) so
@@ -156,79 +166,25 @@ let prepare (type q e) (handle : (q, e) Registry.handle)
    but carries no query and returns no answers.  The job's EM cost is
    bracketed with [round_carry] exactly like a query's so it lands, in
    full, on the worker domain that ran it and shows up in
-   [Stats.aggregate]. *)
-let make_task ~name ?(lane = Lane.Batch) ?(limits = Limits.none)
-    (f : unit -> unit) : t * unit Response.t Future.t =
-  let submitted = Clock.now () in
-  let parent = Tr.current_trace_id () in
-  let spec = { instance = name; k = 0; lane; limits; submitted } in
-  let attempts = ref 0 in
-  let fut = Future.create () in
-  let finish ~worker ~attempt ~trace_id status cost =
-    let latency = Clock.now () -. submitted in
-    ignore
-      (Future.try_fill fut
-         {
-           Response.answers = [];
-           status;
-           summary = { Response.cost; rounds = 1; attempts = attempt;
-                       certified = None };
-           trace_id;
-           latency;
-           worker;
-           instance = name;
-           k = 0;
-           seq_token = None;
-         }
-        : bool);
-    {
-      o_status = status;
-      o_ios = cost.Stats.ios;
-      o_latency = latency;
-      o_verdict = None;
-    }
-  in
-  let run_ ~worker ~attempt =
-    let outcome, trace =
-      Tr.with_root ?parent "task"
-        ~attrs:
-          [ ("task", Tr.Str name);
-            ("attempt", Tr.Int attempt);
-            ("worker", Tr.Int worker) ]
-        (fun () ->
-          Tr.event "sched.dispatch"
-            ~attrs:
-              [ ("lane", Tr.Str (Lane.name lane));
-                ("queued_us",
-                 Tr.Int
-                   (int_of_float
-                      ((Clock.now () -. submitted) *. 1e6))) ];
-          Stats.round_carry ();
-          let before = Stats.snapshot () in
-          let cost () =
-            Stats.round_carry ();
-            Stats.diff (Stats.snapshot ()) before
-          in
-          match f () with
-          | () -> `Done (cost ())
-          | exception Fault.Em_fault msg -> `Fault msg
-          | exception e -> `Raised (Printexc.to_string e, cost ()))
-    in
-    let trace_id = Option.map (fun (tr : Tr.t) -> tr.Tr.id) trace in
-    match outcome with
-    | `Done cost ->
-        Completed (finish ~worker ~attempt ~trace_id Response.Complete cost)
-    | `Fault msg -> Transient msg
-    | `Raised (msg, cost) ->
-        Completed
-          (finish ~worker ~attempt ~trace_id
-             (Response.Failed (Error.Failed msg)) cost)
-  in
-  let abort_ ~worker ~reason =
-    finish ~worker ~attempt:!attempts ~trace_id:None
-      (Response.Failed reason) Stats.zero_snapshot
-  in
-  ({ spec; attempts; run_; abort_ }, fut)
+   [Stats.aggregate]; a job that raises keeps the cost it ran up. *)
+let make_task ~name ?(lane = Lane.Batch) ?(limits = Limits.none) f =
+  lifecycle ~instance:name ~k:0 ~lane ~limits ~root:"task"
+    ~attrs:[ ("task", Tr.Str name) ]
+    ~idle_rounds:1
+    ~certify:(fun _ _ -> None)
+    (fun () ->
+      Stats.round_carry ();
+      let before = Stats.snapshot () in
+      let cost () =
+        Stats.round_carry ();
+        Stats.diff (Stats.snapshot ()) before
+      in
+      match f () with
+      | () -> ([], Response.Complete, cost (), 1)
+      | exception (Fault.Em_fault _ as fault) -> raise fault
+      | exception e ->
+          let reason = Error.Failed (Printexc.to_string e) in
+          ([], Response.Failed reason, cost (), 1))
 
 let run t ~worker =
   incr t.attempts;

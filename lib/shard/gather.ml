@@ -49,21 +49,6 @@ let merge ~cmp ~k lists =
     List.rev !out
   end
 
-(* Uncharged two-way top-k union on resident lists (see .mli). *)
-let union ~cmp ~k a b =
-  let rec go taken a b =
-    if taken >= k then []
-    else
-      match (a, b) with
-      | [], [] -> []
-      | x :: a', [] -> x :: go (taken + 1) a' []
-      | [], y :: b' -> y :: go (taken + 1) [] b'
-      | x :: a', y :: b' ->
-          if cmp x y >= 0 then x :: go (taken + 1) a' b
-          else y :: go (taken + 1) a b'
-  in
-  if k <= 0 then [] else go 0 a b
-
 let merge_certified ~cmp ~weight ~k answers =
   let all_complete = List.for_all snd answers in
   let merged = merge ~cmp ~k (List.map fst answers) in

@@ -21,16 +21,6 @@ val merge : cmp:('e -> 'e -> int) -> k:int -> 'e list list -> 'e list
     elements iff the union has fewer.  [k <= 0] yields [[]].  Charges
     one scanned element per input consumed. *)
 
-val union : cmp:('e -> 'e -> int) -> k:int -> 'e list -> 'e list -> 'e list
-(** In-memory top-k union of two decreasing-sorted lists — {e uncharged}.
-    The planner and scatter layers use it to maintain the running k
-    best candidates between shard visits: by then the inputs are
-    resident (their reporting cost was charged by the shard structures
-    that produced them), so bookkeeping on them is CPU work in the EM
-    model; the single final gather pass is what pays the [O(k/B)]
-    output term, via {!merge}.  Charging every intermediate union as a
-    scan would double-count and erase the I/O saved by pruning. *)
-
 val merge_certified :
   cmp:('e -> 'e -> int) ->
   weight:('e -> float) ->

@@ -25,6 +25,25 @@ module Make (SS : Shard_set.S) : sig
     empty : int;        (** shards whose max query found no match *)
   }
 
+  val prune_visit :
+    SS.t ->
+    SS.P.query ->
+    k:int ->
+    bounds_span:string ->
+    prune_event:string ->
+    wave:int ->
+    visit:((int * float) list -> SS.P.elem list list) ->
+    report
+  (** The bounds-then-pruned-visit driver shared with {!Scatter}.  It
+      takes one max query per shard under the span [bounds_span], then
+      repeatedly drops (with one [prune_event] event) every remaining
+      shard whose bound is below the k-th heaviest weight visited so
+      far, and hands the next [wave] shards, as [(shard, bound)] in
+      decreasing bound order, to [visit].  [visit] returns each
+      shard's answers, decreasing; the caller keeps them for its own
+      final gather.  The driver charges nothing beyond the max
+      queries. *)
+
   val query : SS.t -> SS.P.query -> k:int -> SS.P.elem list
   (** Exact global top-k, sorted by decreasing weight; [[]] when
       [k <= 0]. *)

@@ -14,6 +14,7 @@ module Make
 struct
   module P = SS.P
   module W = Topk_core.Sigs.Weight_order (P)
+  module Pl = Planner.Make (SS)
 
   type t = {
     pool : Executor.t;
@@ -43,14 +44,6 @@ struct
         (SS.shards set)
     in
     { pool; set; handles; wave = Executor.worker_count pool; name }
-
-  (* First [n] elements of [l] (or all of them), plus the rest. *)
-  let rec take n l =
-    match l with
-    | x :: rest when n > 0 ->
-        let hd, tl = take (n - 1) rest in
-        (x :: hd, tl)
-    | _ -> ([], l)
 
   let query t ?(lane = Topk_service.Lane.Interactive) ?(limits = Limits.none)
       q ~k =
@@ -83,74 +76,16 @@ struct
              independently-exact parts. *)
           Stats.round_carry ();
           let before = Stats.snapshot () in
-          (* Scatter phase 1, on the calling domain: exact per-shard
-             upper bounds, one MAX query each. *)
-          let bounded = ref [] and empty = ref 0 in
-          Tr.with_span "scatter.bounds" (fun () ->
-              for i = s - 1 downto 0 do
-                match SS.upper_bound t.set i q with
-                | None -> incr empty
-                | Some ub -> bounded := (i, ub) :: !bounded
-              done);
-          let order =
-            List.sort (fun (_, a) (_, b) -> Float.compare b a) !bounded
-          in
-          (* Phase 2: waves of per-shard jobs through the pool.
-             [top.(0 .. filled-1)] holds, decreasing, the k heaviest
-             weights gathered so far.  Each is the weight of a real
-             matching element, so once [filled = k], [top.(k-1)] is a
-             sound pruning threshold whether or not legs were cut off.
-             The buffer needs no more than [SS.size] slots.  [legs]
-             keeps the per-shard certified answers for the final
-             join. *)
+          (* Bounds on the calling domain, then waves of per-shard
+             jobs through the pool, re-pruned before each wave.
+             [legs] keeps the per-shard certified answers for the
+             final join. *)
           let legs = ref [] in
-          let cap = Int.min k (SS.size t.set) in
-          let top = Array.make cap Float.neg_infinity
-          and scratch = Array.make cap Float.neg_infinity
-          and filled = ref 0 in
-          (* Merge a leg's decreasing answers into [top], through
-             [scratch], keeping the [cap] heaviest. *)
-          let admit answers =
-            let rec go n i l =
-              if n = cap then n
-              else
-                match l with
-                | e :: rest
-                  when i >= !filled
-                       || Float.compare (P.weight e) top.(i) > 0 ->
-                    scratch.(n) <- P.weight e;
-                    go (n + 1) i rest
-                | _ when i < !filled ->
-                    scratch.(n) <- top.(i);
-                    go (n + 1) (i + 1) l
-                | _ -> n
-            in
-            let n = go 0 0 answers in
-            Array.blit scratch 0 top 0 n;
-            filled := n
-          in
           let status = ref Response.Complete in
           let leg_cost = ref Stats.zero_snapshot in
-          let fanout = ref 0 and pruned = ref 0 in
-          let rec waves remaining =
-            (* Bounds are exact maxima of disjoint shards: [ub < kth]
-               proves the shard cannot contribute to the global top-k. *)
-            let th = if !filled < k then Float.neg_infinity else top.(k - 1) in
-            let live, dead =
-              List.partition (fun (_, ub) -> ub >= th) remaining
-            in
-            (match dead with
-            | [] -> ()
-            | _ ->
-                Tr.event "scatter.prune"
-                  ~attrs:
-                    [ ("cut", Tr.Int (List.length dead));
-                      ("kth", Tr.Float th) ]);
-            pruned := !pruned + List.length dead;
-            match live with
-            | [] -> ()
-            | _ ->
-                let now_wave, rest = take t.wave live in
+          let report =
+            Pl.prune_visit t.set q ~k ~bounds_span:"scatter.bounds"
+              ~prune_event:"scatter.prune" ~wave:t.wave ~visit:(fun wave ->
                 (* Submit the whole wave before gathering any leg.
                    Legs inherit the logical query's lane (and its
                    limits, so one shared deadline): a fan-out
@@ -162,10 +97,9 @@ struct
                       ( i,
                         Executor.submit t.pool t.handles.(i) ~lane
                           ~limits q ~k ))
-                    now_wave
+                    wave
                 in
-                fanout := !fanout + List.length futs;
-                List.iter
+                List.map
                   (fun (i, fut) ->
                     let r =
                       Tr.with_span "scatter.leg"
@@ -198,15 +132,9 @@ struct
                     | Response.Complete -> legs := (answers, true) :: !legs
                     | Response.Cutoff_budget | Response.Cutoff_deadline ->
                         legs := (answers, false) :: !legs);
-                    (* Resident bookkeeping between waves: the leg's
-                       reporting cost was charged worker-side;
-                       [merge_certified] below is the single charged
-                       gather pass. *)
-                    admit answers)
-                  futs;
-                waves rest
+                    answers)
+                  futs)
           in
-          waves order;
           let answers, complete =
             Gather.merge_certified ~cmp:W.compare ~weight:P.weight ~k !legs
           in
@@ -221,21 +149,21 @@ struct
           in
           Stats.round_carry ();
           let local = Stats.diff (Stats.snapshot ()) before in
-          Metrics.Counter.add m.Metrics.shards_pruned !pruned;
-          Metrics.Histogram.observe m.Metrics.fanout !fanout;
+          Metrics.Counter.add m.Metrics.shards_pruned report.Pl.pruned;
+          Metrics.Histogram.observe m.Metrics.fanout report.Pl.visited;
           if Tr.is_enabled () then begin
-            Tr.add_attr "visited" (Tr.Int !fanout);
-            Tr.add_attr "pruned" (Tr.Int !pruned);
-            Tr.add_attr "empty" (Tr.Int !empty)
+            Tr.add_attr "visited" (Tr.Int report.Pl.visited);
+            Tr.add_attr "pruned" (Tr.Int report.Pl.pruned);
+            Tr.add_attr "empty" (Tr.Int report.Pl.empty)
           end;
           {
             answers;
             status;
             cost = Stats.add local !leg_cost;
             latency = Clock.now () -. started;
-            fanout = !fanout;
-            pruned = !pruned;
-            empty = !empty;
+            fanout = report.Pl.visited;
+            pruned = report.Pl.pruned;
+            empty = report.Pl.empty;
           })
     in
     result

@@ -1,6 +1,6 @@
 (* Cost certification.  See certify.mli for the contract. *)
 
-type theorem = T1 | T2 | Sharded | Other of string | Dynamic of theorem
+type theorem = T1 | T2 | Sharded | Dynamic of theorem
 
 type model = {
   instance : string;
@@ -25,7 +25,6 @@ let rec theorem_name = function
   | T1 -> "theorem1"
   | T2 -> "theorem2"
   | Sharded -> "sharded"
-  | Other s -> s
   | Dynamic inner -> "dynamic(" ^ theorem_name inner ^ ")"
 
 let out_term m ~k = float_of_int k /. float_of_int m.b +. 1.
@@ -41,7 +40,6 @@ let rec normalizer m ~k ~visited =
       +. (float_of_int (max visited 1)
           *. (m.q_pri +. m.q_max +. out_term m ~k))
       +. out_term m ~k
-  | Other _ -> out_term m ~k
   | Dynamic inner ->
       (* Bentley–Saxe view: [visited] immutable runs (the level
          hierarchy keeps at most O(log n) of them), each paying one

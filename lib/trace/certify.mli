@@ -23,7 +23,6 @@ type theorem =
   | T1                  (** Theorem 1 worst-case reduction *)
   | T2                  (** Theorem 2 expected-case reduction *)
   | Sharded             (** scatter/planner over Theorem-2 shards *)
-  | Other of string     (** opaque; bound is [c * (1 + k/B)] *)
   | Dynamic of theorem
       (** Bentley–Saxe ingestion wrapper over a static structure whose
           bound is the inner theorem: [visited] here counts the

@@ -35,17 +35,15 @@ let rec select_rec ~pick ~cmp arr lo hi i =
     else arr.(i)
   end
 
-(* Pivot stream of callers that pass no [?rng]: one per domain, all
-   from the same seed, so concurrent workers never race on a shared
-   generator and a single-domain caller sees the historical stream. *)
-let default_rng = Domain.DLS.new_key (fun () -> Rng.create 0x5e1ec7)
+(* The pivot stream: one per domain, all from the same seed, so
+   concurrent workers never race on a shared generator and a
+   single-domain caller sees the historical stream. *)
+let pivot_rng = Domain.DLS.new_key (fun () -> Rng.create 0x5e1ec7)
 
-let quickselect ?rng ~cmp arr i =
+let quickselect ~cmp arr i =
   let n = Array.length arr in
   if i < 0 || i >= n then invalid_arg "Select.quickselect: rank out of bounds";
-  let rng =
-    match rng with Some r -> r | None -> Domain.DLS.get default_rng
-  in
+  let rng = Domain.DLS.get pivot_rng in
   let pick _ lo hi = lo + Rng.int rng (hi - lo + 1) in
   select_rec ~pick ~cmp arr 0 (n - 1) i
 

@@ -38,7 +38,7 @@ val top_k_iter :
     O(m log k) time.  Exceptions other than the stop, raised by [iter]
     or the callbacks, propagate. *)
 
-val quickselect : ?rng:Rng.t -> cmp:('a -> 'a -> int) -> 'a array -> int -> 'a
+val quickselect : cmp:('a -> 'a -> int) -> 'a array -> int -> 'a
 (** [quickselect ~cmp arr i] is the element of rank [i] (0-based, from
     the smallest under [cmp]); expected linear time.  The array is
     permuted in place.  @raise Invalid_argument if [i] is out of

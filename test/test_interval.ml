@@ -496,6 +496,71 @@ let test_charging_truncated_rounds () =
          (fun k -> measured (fun q -> ignore (Inst.Topk_t2.query t2 q ~k)))
          [ 1; 10; 100 ])
 
+(* Dynamic Theorem 2 on interval stabbing and 1D range: a seeded build,
+   inserts past a doubling and deletes past a halving (both resample
+   the ladder), then stab points / ranges at k = 1, 10, 100.  Nested
+   intervals and wide ranges truncate early rounds and escalate, so
+   [rounds_failed > 0].  Pinned per structure: (summed query ios,
+   rounds_run, rounds_failed, resamples). *)
+let dyn_golden ~build ~insert ~delete ~query ~stats elems queries =
+  let n = Array.length elems in
+  let s = build (Array.sub elems 0 (n / 4)) in
+  for i = n / 4 to n - 1 do
+    insert s elems.(i)
+  done;
+  for i = 0 to n - 1 do
+    if i mod 4 <> 0 then delete s elems.(i)
+  done;
+  let ios =
+    Array.fold_left
+      (fun acc q ->
+        List.fold_left
+          (fun acc k ->
+            let (), st = Stats.measure (fun () -> ignore (query s q ~k)) in
+            acc + st.Stats.ios)
+          acc [ 1; 10; 100 ])
+      0 queries
+  in
+  let run, failed, resamples = stats s in
+  (ios, run, failed, resamples)
+
+let test_charging_dynamic_rounds () =
+  let module D = Inst.Dyn_topk in
+  let module R = Topk_range.Instances.Dyn_topk in
+  let module Wp = Topk_range.Wpoint in
+  let rng = Rng.create 2016 in
+  let intervals =
+    I.of_spans rng (Gen.intervals rng ~shape:Gen.Nested_intervals ~n:2048)
+  in
+  let points =
+    Wp.of_positions rng (Array.init 2048 (fun _ -> Rng.uniform rng))
+  in
+  let ranges =
+    Array.init 32 (fun _ ->
+        let a = Rng.uniform rng and b = Rng.uniform rng in
+        (Float.min a b, Float.max a b))
+  in
+  (* A small K_1 keeps a ladder of a few dozen rungs at n = 512. *)
+  let small p = { p with Topk_core.Params.coreset_scale = 1. /. 16. } in
+  let quad = Alcotest.(pair (pair int int) (pair int int)) in
+  let flat (a, b, c, d) = ((a, b), (c, d)) in
+  Alcotest.check quad "interval (ios, rounds, failed, resamples)"
+    ((56431, 252), (60, 1))
+    (flat
+       (dyn_golden
+          ~build:(D.build ~params:(small (Inst.params ())))
+          ~insert:D.insert ~delete:D.delete ~query:D.query
+          ~stats:(fun s -> (D.rounds_run s, D.rounds_failed s, D.resamples s))
+          intervals (Array.sub golden_points 0 64)));
+  Alcotest.check quad "range (ios, rounds, failed, resamples)"
+    ((14455, 114), (18, 1))
+    (flat
+       (dyn_golden
+          ~build:(R.build ~params:(small (Topk_range.Instances.params ())))
+          ~insert:R.insert ~delete:R.delete ~query:R.query
+          ~stats:(fun s -> (R.rounds_run s, R.rounds_failed s, R.resamples s))
+          points ranges))
+
 let () =
   Alcotest.run "topk_interval"
     [
@@ -557,5 +622,7 @@ let () =
         [ Alcotest.test_case "golden ios, scans and fault points" `Quick
             test_charging_golden;
           Alcotest.test_case "golden truncated theorem2 rounds" `Quick
-            test_charging_truncated_rounds ] );
+            test_charging_truncated_rounds;
+          Alcotest.test_case "golden dynamic theorem2 rounds" `Quick
+            test_charging_dynamic_rounds ] );
     ]

@@ -294,13 +294,12 @@ let test_normalizer_shapes () =
   fcheck "sharded clamps visited to >= 1"
     ((4. *. 2.) +. (1. *. (3. +. 2. +. out 64)) +. out 64)
     (Certify.normalizer ms ~k:64 ~visited:0);
-  let mo = mk_model ~theorem:(Certify.Other "scan") () in
-  fcheck "other = output term only" (out 640)
-    (Certify.normalizer mo ~k:640 ~visited:1);
-  Alcotest.(check string) "theorem names" "theorem1/theorem2/sharded/scan"
+  Alcotest.(check string) "theorem names"
+    "theorem1/theorem2/sharded/dynamic(theorem2)"
     (String.concat "/"
        (List.map Certify.theorem_name
-          [ Certify.T1; Certify.T2; Certify.Sharded; Certify.Other "scan" ]))
+          [ Certify.T1; Certify.T2; Certify.Sharded;
+            Certify.Dynamic Certify.T2 ]))
 
 let test_fit_and_check () =
   let m =

@@ -400,9 +400,9 @@ let prop_top_k_iter_matches_top_k =
     (QCheck.make ~print gen)
     (fun (ws, k, limit) -> check_top_k_iter ~k ~limit (kvs ws))
 
-(* Callers that pass no [?rng] draw pivots from a per-domain stream
-   with one seed: two fresh domains permute the same input
-   identically, however much the first one drew. *)
+(* Quickselect draws pivots from a per-domain stream with one seed:
+   two fresh domains permute the same input identically, however much
+   the first one drew. *)
 let test_default_rng_per_domain () =
   let input = Array.init 500 (fun i -> (i * 7919) mod 500) in
   let permute () =
