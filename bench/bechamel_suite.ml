@@ -77,6 +77,9 @@ let interval_tests () =
            ignore (I_inst.Topk_t1.query t1_ladder (next ()) ~k:10)));
     Test.make ~name:"interval/thm2 top-10 (E5)"
       (Staged.stage (fun () -> ignore (I_inst.Topk_t2.query t2 (next ()) ~k:10)));
+    (* The shape of a scatter leg: a top-100 out of the stab set. *)
+    Test.make ~name:"interval/thm2 top-100 (E5)"
+      (Staged.stage (fun () -> ignore (I_inst.Topk_t2.query t2 (next ()) ~k:100)));
     Test.make ~name:"interval/rj14 top-10 (E7)"
       (Staged.stage (fun () -> ignore (I_inst.Topk_rj.query rj (next ()) ~k:10)));
     Test.make ~name:"interval/naive top-10 (E7)"
@@ -87,9 +90,10 @@ let interval_tests () =
 (* The kernels on a Theorem 2 / scatter answer path, on their own:
    k-selection over stab candidates at both shapes the serving
    benchmark drives (a top-10 at n = 16 384, a shard leg's top-100 at
-   n = 4096), once from a materialised list and once streamed from the
-   stab visit itself (visit included), and the k-way gather of 2 and 4
-   sorted legs. *)
+   n = 4096), once from a materialised list and once from the stab
+   visit itself (visit included: each node's sorted run is counted
+   and only the k heaviest heads are merged out), and the k-way gather
+   of 2 and 4 sorted legs. *)
 let serving_kernel_tests () =
   let module W = Topk_core.Sigs.Weight_order (Topk_interval.Problem) in
   let stab ~n ~seed =
@@ -133,9 +137,9 @@ let serving_kernel_tests () =
       (Staged.stage (fun () -> ignore (W.top_k 10 (next wide))));
     Test.make ~name:"kernel/select top-100 of stab list n=4096"
       (Staged.stage (fun () -> ignore (W.top_k 100 (next leg))));
-    Test.make ~name:"kernel/stream top-10 of stab visit n=16384"
+    Test.make ~name:"kernel/run-merge top-10 of stab visit n=16384"
       (stream wide_pri wide_q 10);
-    Test.make ~name:"kernel/stream top-100 of stab visit n=4096"
+    Test.make ~name:"kernel/run-merge top-100 of stab visit n=4096"
       (stream leg_pri leg_q 100);
     Test.make ~name:"kernel/gather 2 legs k=100"
       (Staged.stage (fun () ->

@@ -138,14 +138,16 @@ module Make (S : Sigs.PRIORITIZED) = struct
     + Hashtbl.length t.dead
 
   (* One I/O per bucket probed, plus the bucket's own visit; dead
-     elements are filtered out before the callback sees them. *)
-  let visit t q ~tau f =
+     elements are filtered out before the sink sees them, so a bucket's
+     runs are unrolled ([Sigs.sink] keeps their [handed ()] exact). *)
+  let visit t q ~tau { Sigs.one; _ } =
+    let live = Sigs.sink (fun e -> if not (is_dead t e) then one e) in
     Array.iter
       (function
         | None -> ()
         | Some b ->
             Stats.charge_ios 1;
-            S.visit b.structure q ~tau (fun e -> if not (is_dead t e) then f e))
+            S.visit b.structure q ~tau live)
       t.buckets
 
   let query t q ~tau = Sigs.collect (visit t q ~tau)

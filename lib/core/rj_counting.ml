@@ -81,19 +81,19 @@ struct
             in
             if total <= k then
               (* Everything matching is wanted: one full report. *)
-              select (fun f ->
+              select (fun sink ->
                   match root with
-                  | Leaf e -> if P.matches q e then f e
+                  | Leaf e -> if P.matches q e then sink.Sigs.one e
                   | Node { reporter; _ } ->
-                      S.visit reporter q ~tau:Float.neg_infinity f)
+                      S.visit reporter q ~tau:Float.neg_infinity sink)
             else
               (* Descend for the rank of the k-th heaviest match; the
                  skipped left subtrees form the canonical prefix. *)
-              select (fun f ->
+              select (fun sink ->
                   let leaf e =
                     if P.matches q e then begin
                       Stats.charge_scan 1;
-                      f e
+                      sink.Sigs.one e
                     end
                   in
                   let rec descend node remaining =
@@ -108,7 +108,7 @@ struct
                           (match left with
                            | Leaf e -> leaf e
                            | Node { reporter; _ } ->
-                               S.visit reporter q ~tau:Float.neg_infinity f);
+                               S.visit reporter q ~tau:Float.neg_infinity sink);
                           descend right (remaining - cl)
                         end
                   in

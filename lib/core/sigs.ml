@@ -35,6 +35,21 @@ module type PROBLEM = sig
   val pp_query : Format.formatter -> query -> unit
 end
 
+(** Where a {!PRIORITIZED.visit} hands its matches: [one e] for one
+    element, [run arr lo len] for a slice sorted by decreasing weight,
+    then id.  After a sink raised out of [run], [handed ()] is the
+    number of the slice's elements it took.  The full contract is
+    {!Topk_util.Select.sink}'s. *)
+type 'a sink = 'a Topk_util.Select.sink = {
+  one : 'a -> unit;
+  run : 'a array -> int -> int -> unit;
+  handed : unit -> int;
+}
+
+(** [sink f]: every element to [f], runs unrolled; see
+    {!Topk_util.Select.sink}. *)
+let sink = Topk_util.Select.sink
+
 (** Outcome of a cost-monitored query (Section 3.2): either the query
     terminated by itself and the full answer is returned, or it was cut
     off after reporting [limit + 1] elements, which certifies that the
@@ -66,16 +81,19 @@ module type PRIORITIZED = sig
   val space_words : t -> int
   (** Space in words; divide by [B] for blocks. *)
 
-  val visit : t -> P.query -> tau:float -> (P.elem -> unit) -> unit
-  (** The reporting primitive: apply the callback to every element
-      matching [q] with weight [>= tau], in no particular order.  The
-      callback may raise to stop the visit early; the exception
-      propagates, and only the work done so far has been charged.
-      The visit charges its own navigation and a scan of every element
-      it handed over, the one the callback raised on included: each
-      scan is charged after the callback has seen its elements (per
-      element, or per node run as in [Seg_stab]), so the callback
-      itself must charge nothing.  The reductions stream a visit into
+  val visit : t -> P.query -> tau:float -> P.elem sink -> unit
+  (** The reporting primitive: hand every element matching [q] with
+      weight [>= tau] to the sink, in no particular order — one at a
+      time through [one], or as sorted slices through [run] where the
+      structure stores its matches weight-sorted (a [Seg_stab] node's
+      [>= tau] prefix).  The sink may raise to stop the visit early;
+      the exception propagates, and only the work done so far has been
+      charged.  The visit charges its own navigation and a scan of
+      every element it handed over, the one the sink raised on
+      included: each scan is charged after the sink has seen its
+      elements (per element, per node run, or [handed ()] of a run
+      the sink stopped in), so the sink itself must charge nothing.
+      The reductions stream a visit into
       {!Topk_util.Select.top_k_iter}; {!collect} and {!monitor} derive
       {!query} and {!query_monitored} from it. *)
 
@@ -92,7 +110,7 @@ end
     every element it reports. *)
 let collect iter =
   let acc = ref [] in
-  iter (fun e -> acc := e :: !acc);
+  iter (sink (fun e -> acc := e :: !acc));
   !acc
 
 (** [PRIORITIZED.query_monitored] from a visit: the visit is stopped
@@ -101,10 +119,11 @@ let monitor ~limit iter =
   let exception Enough in
   let acc = ref [] and count = ref 0 in
   match
-    iter (fun e ->
-        acc := e :: !acc;
-        incr count;
-        if !count > limit then raise_notrace Enough)
+    iter
+      (sink (fun e ->
+           acc := e :: !acc;
+           incr count;
+           if !count > limit then raise_notrace Enough))
   with
   | () -> All !acc
   | exception Enough -> Truncated !acc
@@ -203,8 +222,8 @@ module Weight_order (P : PROBLEM) = struct
   (** The [k] heaviest of [elems], sorted by decreasing weight. *)
   let top_k k elems = Topk_util.Select.top_k_by ~key:P.weight ~id:P.id k elems
 
-  (** The [k] heaviest of what a visit reports, with the number
-      reported, or [None] once it reports [limit + 1]: see
+  (** The [k] heaviest of what a visit hands to its sink, with the
+      number handed over, or [None] once it hands over [limit + 1]: see
       {!Topk_util.Select.top_k_iter}. *)
   let top_k_iter ?(limit = max_int) k iter =
     Topk_util.Select.top_k_iter ~key:P.weight ~id:P.id ~limit k iter

@@ -55,7 +55,7 @@ struct
         memberships = Hashtbl.create 64;
         ladder = [||];
         n_at_build = 0;
-        resample_count = -1;  (* the initial sample is not a "resample" *)
+        resample_count = 0;
         rounds = { Theorem2.run = 0; failed = 0 };
       }
     in
@@ -74,7 +74,7 @@ struct
 
   let rungs t = Array.length t.ladder
 
-  let resamples t = max 0 t.resample_count
+  let resamples t = t.resample_count
 
   let rounds_run t = t.rounds.run
 

@@ -31,7 +31,7 @@ let space_words t =
   + Prefix_blocks.fold_all t.blocks ~init:0 ~f:(fun acc d ->
         acc + Dom3.space_words d)
 
-let visit t q ~tau f =
+let visit t q ~tau { Topk_core.Sigs.one; _ } =
   let m =
     if tau = Float.neg_infinity then t.n
     else begin
@@ -44,7 +44,7 @@ let visit t q ~tau f =
     end
   in
   let blocks = Prefix_blocks.query_prefix t.blocks m in
-  List.iter (fun d -> Dom3.visit d q f) blocks
+  List.iter (fun d -> Dom3.visit d q one) blocks
 
 let query t q ~tau = Topk_core.Sigs.collect (visit t q ~tau)
 

@@ -26,10 +26,13 @@ let space_words t =
   Xtree.space_words t.tree ~words:(fun node ->
       Seg.space_words node.ystab + Hashtbl.length node.by_id)
 
-let visit t (x, y) ~tau f =
+(* [Seg]'s runs are unrolled through the by-id remap; its [handed ()]
+   stays exact because [Sigs.sink] counts before each call. *)
+let visit t (x, y) ~tau { Topk_core.Sigs.one; _ } =
   Xtree.visit_path t.tree x (fun node ->
-      Seg.visit node.ystab y ~tau (fun itv ->
-          f (Hashtbl.find node.by_id itv.Topk_interval.Interval.id)))
+      Seg.visit node.ystab y ~tau
+        (Topk_core.Sigs.sink (fun itv ->
+             one (Hashtbl.find node.by_id itv.Topk_interval.Interval.id))))
 
 let query t q ~tau = Topk_core.Sigs.collect (visit t q ~tau)
 

@@ -43,12 +43,12 @@ let prefix_length t ~tau =
     ~cmp:(fun w w' -> Float.compare w' w)  (* descending *)
     t.weights_desc tau
 
-let visit t q ~tau f =
+let visit t q ~tau { Topk_core.Sigs.one; _ } =
   let m =
     if tau = Float.neg_infinity then t.n else prefix_length t ~tau
   in
   let blocks = Prefix_blocks.query_prefix t.blocks m in
-  List.iter (fun l -> ignore (Layers.report_halfplane l q f)) blocks
+  List.iter (fun l -> ignore (Layers.report_halfplane l q one)) blocks
 
 let query t q ~tau = Topk_core.Sigs.collect (visit t q ~tau)
 

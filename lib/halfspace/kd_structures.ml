@@ -16,12 +16,12 @@ struct
 
   let space_words = Kd_tree.space_words
 
-  let visit t q ~tau f =
+  let visit t q ~tau { Topk_core.Sigs.one; _ } =
     Kd_tree.visit t ~tau
       ~cell_possible:(fun ~mins ~maxs -> Q.cell_possible q ~mins ~maxs)
       ~cell_certain:(fun ~mins ~maxs -> Q.cell_certain q ~mins ~maxs)
       ~matches:(fun p -> Q.matches q p)
-      f
+      one
 
   let query t q ~tau = Topk_core.Sigs.collect (visit t q ~tau)
 

@@ -80,7 +80,7 @@ let rec node_words = function
 
 let space_words t = node_words t.root
 
-let visit t q ~tau f =
+let visit t q ~tau { Topk_core.Sigs.one; _ } =
   let rec go = function
     | None -> ()
     | Some node ->
@@ -88,16 +88,16 @@ let visit t q ~tau f =
         if q < node.center then begin
           (* Node intervals contain center > q: they contain q iff
              lo <= q. *)
-          Pst.query node.by_lo ~side:Pst.Below ~bound:q ~tau f;
+          Pst.query node.by_lo ~side:Pst.Below ~bound:q ~tau one;
           go node.left
         end
         else if q > node.center then begin
-          Pst.query node.by_hi ~side:Pst.Above ~bound:q ~tau f;
+          Pst.query node.by_hi ~side:Pst.Above ~bound:q ~tau one;
           go node.right
         end
         else
           (* q = center: every node interval contains q. *)
-          Pst.query node.by_lo ~side:Pst.Below ~bound:q ~tau f
+          Pst.query node.by_lo ~side:Pst.Below ~bound:q ~tau one
   in
   go t.root
 

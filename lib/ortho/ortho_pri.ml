@@ -34,10 +34,11 @@ let space_words t =
   Xtree.space_words t.tree ~words:(fun node ->
       Range_pri.space_words node.ystab + Hashtbl.length node.by_id)
 
-let visit t (x1, x2, y1, y2) ~tau f =
+let visit t (x1, x2, y1, y2) ~tau { Topk_core.Sigs.one; _ } =
   Xtree.visit_range t.tree ~x1 ~x2 (fun node ->
-      Range_pri.visit node.ystab (y1, y2) ~tau (fun wp ->
-          f (Hashtbl.find node.by_id wp.Wpoint.id)))
+      Range_pri.visit node.ystab (y1, y2) ~tau
+        (Topk_core.Sigs.sink (fun wp ->
+             one (Hashtbl.find node.by_id wp.Wpoint.id))))
 
 let query t q ~tau = Topk_core.Sigs.collect (visit t q ~tau)
 

@@ -72,6 +72,9 @@ let rank_range t (lo, hi) =
   let b = Search.upper_bound ~cmp:Float.compare t.positions hi in
   (a, b)
 
+(* Each point's scan is charged before the callback sees it, so the
+   node's list is handed over point by point, not as a sink run: a run
+   charged after the sink would move the fault hook's calls. *)
 let scan_node t node ~tau f =
   Stats.charge_ios 1;
   let lst = t.node_lists.(node) in
@@ -87,19 +90,19 @@ let scan_node t node ~tau f =
     else continue := false
   done
 
-let visit t q ~tau f =
+let visit t q ~tau { Topk_core.Sigs.one; _ } =
   let a, b = rank_range t q in
   if a < b then begin
     (* Standard iterative canonical decomposition of [a, b). *)
     let l = ref (t.leaves + a) and r = ref (t.leaves + b) in
     while !l < !r do
       if !l land 1 = 1 then begin
-        scan_node t !l ~tau f;
+        scan_node t !l ~tau one;
         incr l
       end;
       if !r land 1 = 1 then begin
         decr r;
-        scan_node t !r ~tau f
+        scan_node t !r ~tau one
       end;
       l := !l / 2;
       r := !r / 2

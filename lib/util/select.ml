@@ -324,12 +324,35 @@ let top_k_by ~key ~id k xs =
 
 (* --- Streaming selection ---
 
-   An element that beats the lightest of the current [k] gets a slot:
-   its weight, id and admission number are written once into unboxed
-   per-domain buffers (taken and put back like [top_k_by]'s), and the
-   element itself goes on a list.  Once [k] are held they are
-   heapified; the heap orders slot numbers, so sifting moves ints and
-   never passes a float to a non-inlined function, which would box it. *)
+   A visit hands its matches to a sink one at a time ([one]) or as a
+   slice already in [before] order ([run]).  A single that beats the
+   lightest of the current [k] gets a slot: its weight, id and
+   admission number are written once into unboxed per-domain buffers
+   (taken and put back like [top_k_by]'s), and the element itself goes
+   on a list.  Once [k] are held they are heapified; the heap orders
+   slot numbers, so sifting moves ints and never passes a float to a
+   non-inlined function, which would box it.  A run is only counted
+   and recorded, cut to its first [k]; the answer merges the recorded
+   runs with the sorted singles. *)
+
+type 'a sink = {
+  one : 'a -> unit;
+  run : 'a array -> int -> int -> unit;
+  handed : unit -> int;
+}
+
+let sink f =
+  let handed = ref 0 in
+  {
+    one = f;
+    run =
+      (fun arr lo len ->
+        for i = 0 to len - 1 do
+          handed := i + 1;
+          f (Array.unsafe_get arr (lo + i))
+        done);
+    handed = (fun () -> !handed);
+  }
 
 type slots = {
   w : float array;
@@ -370,61 +393,151 @@ let rec sift_down w ids (heap : int array) size p =
     end
   end
 
+(* The same with the heavier child moving up: the root is the
+   heaviest. *)
+let rec sift_down_max w ids (heap : int array) size p =
+  let l = (2 * p) + 1 in
+  if l < size then begin
+    let r = l + 1 in
+    let c =
+      if r < size && before_at w ids heap.(r) heap.(l) then r else l
+    in
+    let x = Array.unsafe_get heap p and y = Array.unsafe_get heap c in
+    if before_at w ids y x then begin
+      Array.unsafe_set heap p y;
+      Array.unsafe_set heap c x;
+      sift_down_max w ids heap size c
+    end
+  end
+
+(* The first [cap] of the union of [sources] (non-empty [(arr, lo,
+   len)] slices, each in [before] order), heaviest first: a k-way merge
+   over a max-heap of source heads.  The cursors live in the per-domain
+   slots: [w] and [ids] hold each source's head key, read once per
+   head, [adm] its position, and [heap] the source numbers with the
+   heaviest head at the root. *)
+let merge ~key ~id cap sources =
+  let r = Array.length sources in
+  let slot = Domain.DLS.get slot_buffers in
+  let b = ref !slot in
+  slot := no_slots;
+  while Array.length !b.ids < r do
+    b := grow !b
+  done;
+  let { w; ids; adm = pos; heap } = !b in
+  let total = ref 0 in
+  let read i =
+    let arr, _, _ = Array.unsafe_get sources i in
+    let e = Array.unsafe_get arr (Array.unsafe_get pos i) in
+    Array.unsafe_set w i (key e);
+    Array.unsafe_set ids i (id e)
+  in
+  for i = 0 to r - 1 do
+    let _, lo, len = sources.(i) in
+    total := !total + len;
+    pos.(i) <- lo;
+    read i;
+    heap.(i) <- i
+  done;
+  for p = (r / 2) - 1 downto 0 do
+    sift_down_max w ids heap r p
+  done;
+  let m = min cap !total in
+  let first, lo0, _ = sources.(0) in
+  let out = Array.make m first.(lo0) in
+  let live = ref r in
+  for j = 0 to m - 1 do
+    let i = Array.unsafe_get heap 0 in
+    let arr, lo, len = Array.unsafe_get sources i in
+    let p = Array.unsafe_get pos i in
+    Array.unsafe_set out j (Array.unsafe_get arr p);
+    if p + 1 < lo + len then begin
+      Array.unsafe_set pos i (p + 1);
+      read i
+    end
+    else begin
+      decr live;
+      Array.unsafe_set heap 0 (Array.unsafe_get heap !live)
+    end;
+    sift_down_max w ids heap !live 0
+  done;
+  slot := !b;
+  Array.to_list out
+
 type 'a stream = {
   mutable b : slots;
   mutable size : int;
   mutable count : int;
   mutable admitted : 'a list;  (* newest first *)
   mutable admissions : int;
+  mutable runs : ('a array * int * int) list;  (* cut to [cap] *)
+  mutable handed : int;  (* of the run the stream stopped in *)
 }
 
 let top_k_iter ~key ~id ~limit k iter =
   let exception Stop in
+  let limit = max 0 limit in
   let slot = Domain.DLS.get slot_buffers in
-  let st = { b = !slot; size = 0; count = 0; admitted = []; admissions = 0 } in
+  let st =
+    { b = !slot; size = 0; count = 0; admitted = []; admissions = 0;
+      runs = []; handed = 0 }
+  in
   slot := no_slots;
   (* At most [limit] elements are ever admitted: the next one stops. *)
   let cap = max 0 (min k limit) in
-  match
-    iter (fun e ->
-        let c = st.count + 1 in
-        st.count <- c;
-        if c > limit then raise_notrace Stop;
-        if cap > 0 then begin
-          let x = key e and a = id e in
-          let size = st.size in
-          if size < cap then begin
-            if size = Array.length st.b.ids then st.b <- grow st.b;
-            let b = st.b in
-            Array.unsafe_set b.w size x;
-            Array.unsafe_set b.ids size a;
-            Array.unsafe_set b.adm size st.admissions;
-            Array.unsafe_set b.heap size size;
-            st.admitted <- e :: st.admitted;
-            st.admissions <- st.admissions + 1;
-            st.size <- size + 1;
-            (* The first [cap] are kept unordered; a stream that stops
-               short of [cap] is only sorted. *)
-            if size + 1 = cap then
-              for p = (cap / 2) - 1 downto 0 do
-                sift_down b.w b.ids b.heap cap p
-              done
-          end
-          else begin
-            let b = st.b in
-            let root = Array.unsafe_get b.heap 0 in
-            if before x a (Array.unsafe_get b.w root) (Array.unsafe_get b.ids root)
-            then begin
-              Array.unsafe_set b.w root x;
-              Array.unsafe_set b.ids root a;
-              Array.unsafe_set b.adm root st.admissions;
-              st.admitted <- e :: st.admitted;
-              st.admissions <- st.admissions + 1;
-              sift_down b.w b.ids b.heap size 0
-            end
-          end
-        end)
-  with
+  let one e =
+    let c = st.count + 1 in
+    st.count <- c;
+    if c > limit then raise_notrace Stop;
+    if cap > 0 then begin
+      let x = key e and a = id e in
+      let size = st.size in
+      if size < cap then begin
+        if size = Array.length st.b.ids then st.b <- grow st.b;
+        let b = st.b in
+        Array.unsafe_set b.w size x;
+        Array.unsafe_set b.ids size a;
+        Array.unsafe_set b.adm size st.admissions;
+        Array.unsafe_set b.heap size size;
+        st.admitted <- e :: st.admitted;
+        st.admissions <- st.admissions + 1;
+        st.size <- size + 1;
+        (* The first [cap] are kept unordered; a stream that stops
+           short of [cap] is only sorted. *)
+        if size + 1 = cap then
+          for p = (cap / 2) - 1 downto 0 do
+            sift_down b.w b.ids b.heap cap p
+          done
+      end
+      else begin
+        let b = st.b in
+        let root = Array.unsafe_get b.heap 0 in
+        if before x a (Array.unsafe_get b.w root) (Array.unsafe_get b.ids root)
+        then begin
+          Array.unsafe_set b.w root x;
+          Array.unsafe_set b.ids root a;
+          Array.unsafe_set b.adm root st.admissions;
+          st.admitted <- e :: st.admitted;
+          st.admissions <- st.admissions + 1;
+          sift_down b.w b.ids b.heap size 0
+        end
+      end
+    end
+  in
+  let run arr lo len =
+    if len > 0 then begin
+      let c = st.count in
+      (* [c <= limit]: a stream past it has stopped. *)
+      if len > limit - c then begin
+        st.handed <- limit + 1 - c;
+        raise_notrace Stop
+      end;
+      st.count <- c + len;
+      if cap > 0 then st.runs <- (arr, lo, min len cap) :: st.runs
+    end
+  in
+  let s = { one; run; handed = (fun () -> st.handed) } in
+  match iter s with
   | exception ex -> (
       slot := st.b;
       match ex with Stop -> None | _ -> raise ex)
@@ -436,10 +549,21 @@ let top_k_iter ~key ~id ~limit k iter =
       done;
       sort_range b.w b.ids b.heap [| 0; 0 |] 0 (size - 1) (2 * log2 size);
       let admitted = Array.of_list st.admitted and last = st.admissions - 1 in
-      let out = ref [] in
-      for r = size - 1 downto 0 do
-        let a = Array.unsafe_get b.adm (Array.unsafe_get b.heap r) in
-        out := Array.unsafe_get admitted (last - a) :: !out
-      done;
-      slot := b;
-      Some (st.count, !out)
+      let single r =
+        Array.unsafe_get admitted
+          (last - Array.unsafe_get b.adm (Array.unsafe_get b.heap r))
+      in
+      if st.runs = [] then begin
+        let top = List.init size single in
+        slot := b;
+        Some (st.count, top)
+      end
+      else begin
+        let singles = Array.init size single in
+        slot := b;
+        let sources =
+          Array.of_list
+            (if size > 0 then (singles, 0, size) :: st.runs else st.runs)
+        in
+        Some (st.count, merge ~key ~id cap sources)
+      end

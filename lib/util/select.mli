@@ -19,24 +19,59 @@ val top_k_by : key:('a -> float) -> id:('a -> int) -> int -> 'a list -> 'a list
     worst case.  Elements equal on both key and id are interchangeable:
     which of them is kept is unspecified. *)
 
+(** {1 Streaming selection} *)
+
+(** Where a visit hands its matches: one at a time, or as a run.
+
+    - [one e] takes one element.
+    - [run arr lo len] takes the slice [arr.(lo) .. arr.(lo + len - 1)],
+      which must be sorted in decreasing order of weight
+      ([Float.compare], NaN below every number), then of id: the order
+      {!top_k_by} answers in.  The consumer may keep the slice and
+      read it after the call, until it has answered (the selector
+      merges recorded runs once the visit returns), so the structure
+      must not change it meanwhile; the consumer never writes it.
+
+    Either entry point may raise to stop the visit.  After a [run]
+    raised, [handed ()] is the number of the slice's elements it took,
+    the one it stopped on included (1 to [len]): the visit charges
+    exactly those.  [handed ()] is meaningless otherwise. *)
+type 'a sink = {
+  one : 'a -> unit;
+  run : 'a array -> int -> int -> unit;
+  handed : unit -> int;
+}
+
+val sink : ('a -> unit) -> 'a sink
+(** [sink f] hands every element to [f]: [one] is [f], and [run]
+    unrolls its slice into [f] calls, recording [i + 1] as [handed]
+    before the call on the slice's element [i], so a raise out of [f]
+    leaves it right.  Wrappers that filter or remap a visit's elements
+    build their inner sink this way. *)
+
 val top_k_iter :
   key:('a -> float) ->
   id:('a -> int) ->
   limit:int ->
   int ->
-  (('a -> unit) -> unit) ->
+  ('a sink -> unit) ->
   (int * 'a list) option
-(** [top_k_iter ~key ~id ~limit k iter] streams the elements [iter]
-    hands to its callback through a count and a bounded [k]-slot heap.
-    If [iter] reports more than [limit] elements, the callback raises
-    out of it on element [limit + 1] and the answer is [None]; that is
-    where a cost-monitored query stops.  Otherwise the answer is
-    [Some (m, top)], with [m] the number of elements reported and [top]
-    equal to [top_k_by ~key ~id k] of them: the [k] heaviest, sorted
-    descending.  Only elements that beat the lightest of the current
-    [k] are admitted, each written once into unboxed per-domain slots;
-    O(m log k) time.  Exceptions other than the stop, raised by [iter]
-    or the callbacks, propagate. *)
+(** [top_k_iter ~key ~id ~limit k iter] counts what [iter] hands to its
+    sink and keeps the [k] heaviest.  If [iter] hands over more than
+    [limit] elements, the sink raises out of it on element [limit + 1]
+    (inside a run, [handed ()] then counts up to that element) and the
+    answer is [None]; that is where a cost-monitored query stops.  Otherwise the
+    answer is [Some (m, top)], with [m] the number of elements handed
+    over and [top] equal to [top_k_by ~key ~id k] of them: the [k]
+    heaviest, sorted descending.
+
+    A single ([one]) enters a bounded [k]-slot heap only if it beats the
+    lightest of the current [k], written once into unboxed per-domain
+    slots.  A run is counted in O(1) and recorded; the answer is a
+    k-way merge of the recorded runs' heads and the sorted singles.
+    With [s] singles and [r] runs, O(s log k + r + k log r) time.
+    Exceptions other than the stop, raised by [iter] or the callbacks,
+    propagate. *)
 
 val quickselect : cmp:('a -> 'a -> int) -> 'a array -> int -> 'a
 (** [quickselect ~cmp arr i] is the element of rank [i] (0-based, from

@@ -184,7 +184,7 @@ module Conformance (I : INSTANCE) = struct
         List.iter
           (fun tau ->
             let visited = ref [] in
-            I.Pri.visit s q ~tau (fun e -> visited := e :: !visited);
+            I.Pri.visit s q ~tau (Sigs.sink (fun e -> visited := e :: !visited));
             Alcotest.(check (list int))
               (Printf.sprintf "%s: visit = query" I.name)
               (ids (I.Pri.query s q ~tau))
@@ -197,9 +197,10 @@ module Conformance (I : INSTANCE) = struct
         let exception Stop in
         let calls = ref 0 in
         (match
-           I.Pri.visit s q ~tau:Float.neg_infinity (fun _ ->
-               incr calls;
-               raise Stop)
+           I.Pri.visit s q ~tau:Float.neg_infinity
+             (Sigs.sink (fun _ ->
+                  incr calls;
+                  raise Stop))
          with
          | () -> Alcotest.(check int) (I.name ^ ": no match, no call") 0 t
          | exception Stop ->

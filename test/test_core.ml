@@ -53,7 +53,8 @@ module Dot_pri = struct
 
   let space_words = Pst.space_words
 
-  let visit t q ~tau f = Pst.query t ~side:Pst.Below ~bound:q ~tau f
+  let visit t q ~tau { Sigs.one; _ } =
+    Pst.query t ~side:Pst.Below ~bound:q ~tau one
 
   let query t q ~tau = Sigs.collect (visit t q ~tau)
 

@@ -545,7 +545,7 @@ let test_charging_dynamic_rounds () =
   let quad = Alcotest.(pair (pair int int) (pair int int)) in
   let flat (a, b, c, d) = ((a, b), (c, d)) in
   Alcotest.check quad "interval (ios, rounds, failed, resamples)"
-    ((56431, 252), (60, 1))
+    ((56431, 252), (60, 2))
     (flat
        (dyn_golden
           ~build:(D.build ~params:(small (Inst.params ())))
@@ -553,13 +553,74 @@ let test_charging_dynamic_rounds () =
           ~stats:(fun s -> (D.rounds_run s, D.rounds_failed s, D.resamples s))
           intervals (Array.sub golden_points 0 64)));
   Alcotest.check quad "range (ios, rounds, failed, resamples)"
-    ((14455, 114), (18, 1))
+    ((14455, 114), (18, 2))
     (flat
        (dyn_golden
           ~build:(R.build ~params:(small (Topk_range.Instances.params ())))
           ~insert:R.insert ~delete:R.delete ~query:R.query
           ~stats:(fun s -> (R.rounds_run s, R.rounds_failed s, R.resamples s))
           points ranges))
+
+(* [Seg_stab.visit] hands each node's [weight >= tau] prefix over as
+   one run, found by probing the node's weight-sorted list.  On inputs
+   with tied, infinite and NaN weights, and at tau = -inf, +inf, NaN and
+   every weight, the collected answer and the selector's count and top
+   k over the runs must equal a plain filter of the input. *)
+let prop_seg_stab_runs =
+  let module W = Sigs.Weight_order (Problem) in
+  let weight =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map float_of_int (int_range (-3) 3));
+          (2, float_bound_inclusive 10.);
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair (list_size (int_range 1 80) (triple (int_bound 8) (int_bound 8) weight))
+        (int_bound 12))
+  in
+  let print (spans, k) =
+    Printf.sprintf "k=%d %s" k
+      (String.concat " "
+         (List.map (fun (a, b, w) -> Printf.sprintf "[%d,%d]@%g" a b w) spans))
+  in
+  QCheck.Test.make ~count:300 ~name:"seg_stab runs = filter at every tau"
+    (QCheck.make ~print gen)
+    (fun (spans, k) ->
+      let elems =
+        Array.of_list
+          (List.mapi
+             (fun i (a, b, w) ->
+               mk ~id:(i + 1) ~lo:(float_of_int (min a b))
+                 ~hi:(float_of_int (max a b)) ~w ())
+             spans)
+      in
+      let s = Seg.build elems in
+      let taus =
+        Float.neg_infinity :: Float.infinity :: Float.nan
+        :: List.map (fun (e : I.t) -> e.I.weight) (Array.to_list elems)
+      in
+      List.for_all
+        (fun q ->
+          List.for_all
+            (fun tau ->
+              let truth =
+                List.filter
+                  (fun (e : I.t) -> I.contains e q && e.I.weight >= tau)
+                  (Array.to_list elems)
+              in
+              let sorted l = List.sort compare (ids l) in
+              sorted (Seg.query s q ~tau) = sorted truth
+              &&
+              match W.top_k_iter k (Seg.visit s q ~tau) with
+              | Some (count, top) ->
+                  count = List.length truth && ids top = ids (W.top_k k truth)
+              | None -> false)
+            taus)
+        [ 0.; 0.5; 1.; 3.; 4.5; 8. ])
 
 let () =
   Alcotest.run "topk_interval"
@@ -585,6 +646,7 @@ let () =
           Alcotest.test_case "monitored" `Quick test_seg_stab_monitored;
           Alcotest.test_case "empty and single" `Quick
             test_seg_stab_empty_and_single;
+          QCheck_alcotest.to_alcotest prop_seg_stab_runs;
         ] );
       ( "itree_pri",
         [

@@ -333,11 +333,11 @@ let prop_top_k_by_matches_top_k =
    [top_k ~cmp k], and every element reported. *)
 let check_top_k_iter ~k ~limit xs =
   let calls = ref 0 in
-  let iter f =
+  let iter (s : kv Select.sink) =
     List.iter
       (fun e ->
         incr calls;
-        f e)
+        s.one e)
       xs
   in
   let m = List.length xs in
@@ -399,6 +399,124 @@ let prop_top_k_iter_matches_top_k =
     ~name:"top_k_iter = top_k ~cmp, stopped after limit + 1"
     (QCheck.make ~print gen)
     (fun (ws, k, limit) -> check_top_k_iter ~k ~limit (kvs ws))
+
+(* [top_k_iter] over a sink fed a mix of singles and sorted runs
+   (runs are slices of a padded array, in the sink's order: weight
+   then id, descending; empty runs included).  It must answer [None]
+   exactly when more than [limit] elements are handed over, stopping on
+   element [limit + 1]: a run it stops in reports [handed () = limit +
+   1 - (elements before the run)].  Otherwise it counts every element and
+   answers [top_k_by] of the flattened stream, the same physical
+   elements in the same order. *)
+type piece = Single of kv | Run of kv array * int * int
+
+let check_top_k_iter_runs ~k ~limit pieces =
+  let flat =
+    List.concat_map
+      (function
+        | Single e -> [ e ]
+        | Run (a, lo, len) -> Array.to_list (Array.sub a lo len))
+      pieces
+  in
+  let m = List.length flat in
+  let before = ref 0 and stopped_in_run = ref None in
+  let iter (s : kv Select.sink) =
+    List.iter
+      (function
+        | Single e ->
+            s.one e;
+            incr before
+        | Run (a, lo, len) ->
+            (try s.run a lo len
+             with ex ->
+               stopped_in_run := Some (!before, s.handed ());
+               raise ex);
+            before := !before + len)
+      pieces
+  in
+  match
+    Select.top_k_iter ~key:(fun e -> e.w) ~id:(fun e -> e.id) ~limit k iter
+  with
+  | None -> (
+      m > limit
+      &&
+      match !stopped_in_run with
+      | Some (b, handed) -> handed = limit + 1 - b
+      | None -> !before = limit)
+  | Some (count, top) ->
+      m <= limit && count = m && !stopped_in_run = None
+      && same_elements (by_key k flat) top
+
+let prop_top_k_iter_runs =
+  let weight =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map float_of_int (int_range (-3) 3));
+          (2, float);
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0. ]);
+        ])
+  in
+  let piece =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, map (fun w -> `Single w) weight);
+          ( 3,
+            triple (int_bound 3) (list_size (int_bound 24) weight) (int_bound 3)
+            >|= fun (pad_lo, ws, pad_hi) -> `Run (pad_lo, ws, pad_hi) );
+        ])
+  in
+  (* Ids are distinct across the whole stream, so equal weights in
+     different runs are ordered by id alone. *)
+  let build shapes =
+    let next = ref 0 in
+    let fresh w =
+      incr next;
+      { w; id = !next }
+    in
+    List.map
+      (function
+        | `Single w -> Single (fresh w)
+        | `Run (pad_lo, ws, pad_hi) ->
+            let run = Array.of_list (List.map fresh ws) in
+            Array.sort (fun a b -> kv_cmp b a) run;
+            let pad = Array.init (pad_lo + pad_hi) (fun _ -> fresh Float.infinity) in
+            let arr =
+              Array.concat
+                [ Array.sub pad 0 pad_lo; run; Array.sub pad pad_lo pad_hi ]
+            in
+            Run (arr, pad_lo, Array.length run))
+      shapes
+  in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 12) piece >>= fun shapes ->
+      let pieces = build shapes in
+      let m =
+        List.fold_left
+          (fun acc -> function Single _ -> acc + 1 | Run (_, _, len) -> acc + len)
+          0 pieces
+      in
+      triple (return pieces) (int_bound (m + 2)) (int_bound (m + 2)))
+  in
+  let print (pieces, k, limit) =
+    let kv e = Printf.sprintf "%g#%d" e.w e.id in
+    Printf.sprintf "k=%d limit=%d %s" k limit
+      (String.concat " "
+         (List.map
+            (function
+              | Single e -> kv e
+              | Run (a, lo, len) ->
+                  "["
+                  ^ String.concat "; " (List.map kv (Array.to_list (Array.sub a lo len)))
+                  ^ "]")
+            pieces))
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"top_k_iter over runs and singles = top_k_by, run stop handed"
+    (QCheck.make ~print gen)
+    (fun (pieces, k, limit) -> check_top_k_iter_runs ~k ~limit pieces)
 
 (* Quickselect draws pivots from a per-domain stream with one seed:
    two fresh domains permute the same input identically, however much
@@ -562,6 +680,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_top_k_iter_matches_top_k;
           Alcotest.test_case "default rng per domain" `Quick
             test_default_rng_per_domain;
+          QCheck_alcotest.to_alcotest prop_top_k_iter_runs;
         ] );
       ( "search",
         [
