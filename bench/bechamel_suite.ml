@@ -17,10 +17,17 @@ let n = 16_384
    a core-set chain of one level and no ladder rungs answers by scanning
    the input with k = f, so such a row times a scan, not the reduction
    (f >= n/4 at this n for the interval workload). *)
+let count n thing = Printf.sprintf "%d %s%s" n thing (if n = 1 then "" else "s")
+
 let thm1_regime ~levels ~rungs =
-  let s n = if n = 1 then "" else "s" in
-  Printf.sprintf "%d level%s, %d rung%s%s" levels (s levels) rungs (s rungs)
+  Printf.sprintf "%s, %s%s" (count levels "level") (count rungs "rung")
     (if levels = 1 && rungs = 0 then " = scan" else "")
+
+(* A Theorem 2 row's name carries its ladder, read off [Topk_t2.info]:
+   with no rungs (K_1 > n/4) every query scans the input, so such a
+   row times a scan, not a round. *)
+let thm2_regime ~rungs =
+  count rungs "rung" ^ if rungs = 0 then " = scan" else ""
 
 let interval_tests () =
   let elems =
@@ -44,7 +51,8 @@ let interval_tests () =
   let rj = I_inst.Topk_rj.build elems in
   let naive = I_inst.Topk_naive.build elems in
   (* The monitored scan limit of Theorem 2's first round, 4 K_1. *)
-  let first_round = 4 * (I_inst.Topk_t2.info t2).k1 in
+  let t2_info = I_inst.Topk_t2.info t2 in
+  let first_round = 4 * t2_info.k1 in
   let t1_info = I_inst.Topk_t1.info t1 in
   let cursor = ref 0 in
   let next () =
@@ -75,10 +83,16 @@ let interval_tests () =
               ~rungs:ladder_info.ladder_rungs))
       (Staged.stage (fun () ->
            ignore (I_inst.Topk_t1.query t1_ladder (next ()) ~k:10)));
-    Test.make ~name:"interval/thm2 top-10 (E5)"
+    Test.make
+      ~name:
+        (Printf.sprintf "interval/thm2 top-10 (E5; %s)"
+           (thm2_regime ~rungs:t2_info.rungs))
       (Staged.stage (fun () -> ignore (I_inst.Topk_t2.query t2 (next ()) ~k:10)));
     (* The shape of a scatter leg: a top-100 out of the stab set. *)
-    Test.make ~name:"interval/thm2 top-100 (E5)"
+    Test.make
+      ~name:
+        (Printf.sprintf "interval/thm2 top-100 (E5; %s)"
+           (thm2_regime ~rungs:t2_info.rungs))
       (Staged.stage (fun () -> ignore (I_inst.Topk_t2.query t2 (next ()) ~k:100)));
     Test.make ~name:"interval/rj14 top-10 (E7)"
       (Staged.stage (fun () -> ignore (I_inst.Topk_rj.query rj (next ()) ~k:10)));
@@ -254,7 +268,10 @@ let halfplane_tests () =
     queries.(!cursor)
   in
   [
-    Test.make ~name:"halfplane/thm2 top-10 (E9)"
+    Test.make
+      ~name:
+        (Printf.sprintf "halfplane/thm2 top-10 (E9; %s)"
+           (thm2_regime ~rungs:(H_inst.Topk2_t2.info t2).rungs))
       (Staged.stage (fun () -> ignore (H_inst.Topk2_t2.query t2 (next ()) ~k:10)));
   ]
 
@@ -300,7 +317,10 @@ let enclosure_tests () =
     queries.(!cursor)
   in
   [
-    Test.make ~name:"enclosure/thm2 top-10 (E11)"
+    Test.make
+      ~name:
+        (Printf.sprintf "enclosure/thm2 top-10 (E11; %s)"
+           (thm2_regime ~rungs:(E_inst.Topk_t2.info t2).rungs))
       (Staged.stage (fun () -> ignore (E_inst.Topk_t2.query t2 (next ()) ~k:10)));
   ]
 
@@ -324,7 +344,10 @@ let dominance_tests () =
     queries.(!cursor)
   in
   [
-    Test.make ~name:"dominance/thm2 top-10 (E12)"
+    Test.make
+      ~name:
+        (Printf.sprintf "dominance/thm2 top-10 (E12; %s)"
+           (thm2_regime ~rungs:(D_inst.Topk_t2.info t2).rungs))
       (Staged.stage (fun () -> ignore (D_inst.Topk_t2.query t2 (next ()) ~k:10)));
   ]
 

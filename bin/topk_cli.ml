@@ -1917,7 +1917,9 @@ let repl_bench_cmd =
           incr rw_checks;
           let q = Rng.uniform rng in
           match
-            G.read ~consistency:(Svc.Consistency.At_least !last_synced) g q ~k
+            G.read
+              ~consistency:(Topk_cache.Consistency.At_least !last_synced)
+              g q ~k
           with
           | None -> fail p phase "read refused a satisfiable token %d"
               !last_synced
@@ -2275,16 +2277,16 @@ let cache_bench_cmd =
         let consistency, floor_tok =
           if i mod 7 = 0 && !last_synced > 0 then begin
             incr rw_probes;
-            (Svc.Consistency.At_least !last_synced, !last_synced)
+            (Topk_cache.Consistency.At_least !last_synced, !last_synced)
           end
-          else if i mod 11 = 0 then (Svc.Consistency.Max_lag 3, 0)
-          else (Svc.Consistency.Any, 0)
+          else if i mod 11 = 0 then (Topk_cache.Consistency.Max_lag 3, 0)
+          else (Topk_cache.Consistency.Any, 0)
         in
         incr reads;
         match Svc.Client.query_sync ~consistency reader q ~k with
         | { Svc.Response.status = Svc.Response.Failed Svc.Error.Shed; _ } ->
             fail "read %d refused (%s)" i
-              (Svc.Consistency.to_string consistency)
+              (Topk_cache.Consistency.to_string consistency)
         | resp -> (
             (match resp.Svc.Response.status with
             | Svc.Response.Complete -> ()
@@ -2324,7 +2326,7 @@ let cache_bench_cmd =
                       "read %d differs from the from-scratch oracle at seq \
                        %d (%s)"
                       i tok
-                      (Svc.Consistency.to_string consistency);
+                      (Topk_cache.Consistency.to_string consistency);
                   let ios =
                     (Svc.Response.cost resp).Topk_em.Stats.ios
                   in

@@ -1,25 +1,15 @@
 module Stats = Topk_em.Stats
 module Search = Topk_util.Search
 module P = Problem
-
-type bnode = {
-  items : Wpoint.t array;  (* weight descending *)
-  mutable head : int;
-}
+module B = Topk_core.Bentley_saxe.Buckets (P)
 
 type bucket = {
   positions : float array;  (* ascending *)
-  nodes : bnode array;      (* 1-based heap order *)
+  nodes : B.node array;     (* 1-based heap order *)
   leaves : int;
-  elems : Wpoint.t array;
 }
 
-type t = {
-  mutable buckets : bucket option array;
-  dead : (int, unit) Hashtbl.t;
-  mutable live_count : int;
-  mutable rebuild_count : int;
-}
+type t = bucket B.t
 
 let name = "dyn-range-max"
 
@@ -39,125 +29,26 @@ let build_bucket elems =
       node := !node / 2
     done
   done;
-  let nodes =
-    Array.map
-      (fun l ->
-        let items = Array.of_list l in
-        Array.sort (fun a b -> Wpoint.compare_weight b a) items;
-        { items; head = 0 })
-      lists
-  in
   {
     positions = Array.map (fun (p : Wpoint.t) -> p.Wpoint.pos) sorted;
-    nodes;
+    nodes = Array.map B.node lists;
     leaves;
-    elems;
   }
 
-let empty () =
-  {
-    buckets = Array.make 1 None;
-    dead = Hashtbl.create 64;
-    live_count = 0;
-    rebuild_count = 0;
-  }
+let build ?params:_ elems = B.create build_bucket elems
 
-let is_dead t (p : Wpoint.t) = Hashtbl.mem t.dead p.Wpoint.id
+let insert = B.insert
 
-let fill t elems =
-  let n = Array.length elems in
-  let slots = ref 1 in
-  while 1 lsl !slots <= n do incr slots done;
-  t.buckets <- Array.make (max 1 !slots) None;
-  let offset = ref 0 in
-  for i = !slots - 1 downto 0 do
-    let cap = 1 lsl i in
-    if n - !offset >= cap then begin
-      t.buckets.(i) <- Some (build_bucket (Array.sub elems !offset cap));
-      offset := !offset + cap
-    end
-  done
+let delete = B.delete
 
-let build ?params:_ elems =
-  let t = empty () in
-  t.live_count <- Array.length elems;
-  fill t (Array.copy elems);
-  t
+let size = B.live
 
-let live_elements t =
-  let acc = ref [] in
-  Array.iter
-    (function
-      | None -> ()
-      | Some b ->
-          Array.iter
-            (fun e -> if not (is_dead t e) then acc := e :: !acc)
-            b.elems)
-    t.buckets;
-  Array.of_list !acc
+let live = B.live
 
-let global_rebuild t =
-  let elems = live_elements t in
-  Hashtbl.reset t.dead;
-  t.rebuild_count <- t.rebuild_count + 1;
-  t.live_count <- Array.length elems;
-  fill t elems
-
-let insert t p =
-  let slot = ref 0 in
-  let n_slots = Array.length t.buckets in
-  while !slot < n_slots && t.buckets.(!slot) <> None do incr slot done;
-  if !slot >= n_slots then begin
-    let grown = Array.make (n_slots + 1) None in
-    Array.blit t.buckets 0 grown 0 n_slots;
-    t.buckets <- grown
-  end;
-  let merged = ref [ p ] in
-  for i = 0 to !slot - 1 do
-    (match t.buckets.(i) with
-     | Some b ->
-         Array.iter
-           (fun x ->
-             if is_dead t x then Hashtbl.remove t.dead x.Wpoint.id
-             else merged := x :: !merged)
-           b.elems
-     | None -> ());
-    t.buckets.(i) <- None
-  done;
-  t.buckets.(!slot) <- Some (build_bucket (Array.of_list !merged));
-  t.live_count <- t.live_count + 1
-
-let delete t (p : Wpoint.t) =
-  if not (Hashtbl.mem t.dead p.Wpoint.id) then begin
-    Hashtbl.replace t.dead p.Wpoint.id ();
-    t.live_count <- t.live_count - 1;
-    if Hashtbl.length t.dead > max 8 t.live_count then global_rebuild t
-  end
-
-let size t = t.live_count
-
-let live t = t.live_count
-
-let rebuilds t = t.rebuild_count
+let rebuilds = B.rebuilds
 
 let space_words t =
-  Array.fold_left
-    (fun acc -> function
-      | None -> acc
-      | Some b ->
-          acc + Array.length b.positions + Array.length b.elems
-          + Array.fold_left
-              (fun a (n : bnode) -> a + Array.length n.items + 1)
-              0 b.nodes)
-    0 t.buckets
-  + Hashtbl.length t.dead
-
-let peek t (node : bnode) =
-  let len = Array.length node.items in
-  while node.head < len && is_dead t node.items.(node.head) do
-    node.head <- node.head + 1
-  done;
-  if node.head < len then Some node.items.(node.head) else None
+  B.space_words t (fun b -> Array.length b.positions + B.nodes_words b.nodes)
 
 let bucket_max t b (lo, hi) =
   Stats.charge_ios
@@ -168,23 +59,16 @@ let bucket_max t b (lo, hi) =
   if a >= z then None
   else begin
     let best = ref None in
-    let consider = function
-      | None -> ()
-      | Some p -> (
-          match !best with
-          | None -> best := Some p
-          | Some q -> if Wpoint.compare_weight p q > 0 then best := Some p)
-    in
     let l = ref (b.leaves + a) and r = ref (b.leaves + z) in
     while !l < !r do
       Stats.charge_ios 1;
       if !l land 1 = 1 then begin
-        consider (peek t b.nodes.(!l));
+        best := B.heavier !best (B.peek t b.nodes.(!l));
         incr l
       end;
       if !r land 1 = 1 then begin
         decr r;
-        consider (peek t b.nodes.(!r))
+        best := B.heavier !best (B.peek t b.nodes.(!r))
       end;
       l := !l / 2;
       r := !r / 2
@@ -192,18 +76,4 @@ let bucket_max t b (lo, hi) =
     !best
   end
 
-let query t q =
-  let best = ref None in
-  Array.iter
-    (function
-      | None -> ()
-      | Some b -> (
-          match bucket_max t b q with
-          | None -> ()
-          | Some p -> (
-              match !best with
-              | None -> best := Some p
-              | Some q' ->
-                  if Wpoint.compare_weight p q' > 0 then best := Some p)))
-    t.buckets;
-  !best
+let query t q = B.best t (fun b -> bucket_max t b q)

@@ -1,7 +1,7 @@
 module M = Topk_service.Metrics
 module Clock = Topk_util.Clock
 module Response = Topk_service.Response
-module Consistency = Topk_service.Consistency
+module Consistency = Topk_cache.Consistency
 module Stats = Topk_em.Stats
 module Tr = Topk_trace.Trace
 

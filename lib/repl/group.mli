@@ -69,7 +69,7 @@ module Make (T : Topk_core.Sigs.TOPK) : sig
   (** {1 Reads} *)
 
   val read :
-    ?consistency:Topk_service.Consistency.t ->
+    ?consistency:Topk_cache.Consistency.t ->
     t ->
     I.P.query ->
     k:int ->

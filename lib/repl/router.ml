@@ -1,4 +1,4 @@
-module Consistency = Topk_service.Consistency
+module Consistency = Topk_cache.Consistency
 
 (* Read routing: deterministic replica selection under one
    {!Consistency.t} level.  Pure bookkeeping over (id, applied) pairs

@@ -1,7 +1,7 @@
 (** Staleness-bounded read routing.
 
     The router picks which node answers a read: round-robin over the
-    replicas that satisfy the read's {!Topk_service.Consistency.t}
+    replicas that satisfy the read's {!Topk_cache.Consistency.t}
     level, with the primary as fallback — a primary read is never
     stale, so demanding freshness degrades throughput (everything
     lands on the primary) rather than correctness.
@@ -27,10 +27,10 @@ val create : unit -> t
 val select :
   t ->
   head:int ->
-  ?consistency:Topk_service.Consistency.t ->
+  ?consistency:Topk_cache.Consistency.t ->
   candidate list ->
   int option
 (** The chosen node id, or [None] when no live node — primary
     included — satisfies the level (default
-    {!Topk_service.Consistency.Any}).
+    {!Topk_cache.Consistency.Any}).
     @raise Invalid_argument on a negative token/lag. *)

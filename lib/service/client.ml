@@ -3,6 +3,7 @@ module Stats = Topk_em.Stats
 module Tr = Topk_trace.Trace
 module Cache = Topk_cache.Cache
 module Version = Topk_cache.Version
+module Consistency = Topk_cache.Consistency
 
 (* The payloads of differently-typed handles share one cache, so the
    answer arrays are erased into the classic exception universal: each

@@ -4,9 +4,10 @@
     system can answer a top-k query: a structure on the calling
     domain, an {!Executor} pool, a sharded scatter/gather, or a
     replicated group.  The caller states {e what} it wants (the query,
-    [k], {!Limits.t} service constraints, a {!Consistency.t} recency
-    level) and the facade decides {e how}: consult the answer cache
-    first, dispatch on a miss, admit the completed answer back.
+    [k], {!Limits.t} service constraints, a
+    {!Topk_cache.Consistency.t} recency level) and the facade decides
+    {e how}: consult the answer cache first, dispatch on a miss, admit
+    the completed answer back.
 
     {b Caching.}  The client owns one {!Topk_cache.Cache} shared by
     all attached handles, keyed by [(instance name, canonical query
@@ -18,9 +19,9 @@
     than the cache's [min_cost] threshold are bypassed) and guarded
     against in-flight version movement, and entries admitted before a
     failover can never serve after it (the version's term component
-    fences them).  Under the default {!Consistency.Any} level the
-    cache only serves entries at exactly the live version, so enabling
-    it never changes any answer.
+    fences them).  Under the default {!Topk_cache.Consistency.Any}
+    level the cache only serves entries at exactly the live version,
+    so enabling it never changes any answer.
 
     Error handling is uniform: refusals that the executor surfaces as
     {!Error.Error} exceptions (breaker open, shutdown) come back from
@@ -63,7 +64,7 @@ val pooled : Executor.t -> ('q, 'e) Registry.handle -> ('q, 'e) source
 val endpoint :
   name:string ->
   (?limits:Limits.t ->
-  ?consistency:Consistency.t ->
+  ?consistency:Topk_cache.Consistency.t ->
   'q ->
   k:int ->
   'e Response.t) ->
@@ -97,7 +98,7 @@ val name : ('q, 'e) handle -> string
 
 val query :
   ?limits:Limits.t ->
-  ?consistency:Consistency.t ->
+  ?consistency:Topk_cache.Consistency.t ->
   ('q, 'e) handle ->
   'q ->
   k:int ->
@@ -128,7 +129,7 @@ val query :
 
 val query_sync :
   ?limits:Limits.t ->
-  ?consistency:Consistency.t ->
+  ?consistency:Topk_cache.Consistency.t ->
   ('q, 'e) handle ->
   'q ->
   k:int ->

@@ -1,6 +1,8 @@
-(* Re-export: the consistency vocabulary is defined next to the cache
-   (below the service layer in the dependency order) so the cache's
-   staleness rule, the replication router and this facade all share
-   the single type.  [Topk_service.Consistency.t] is the canonical
-   spelling at call sites. *)
+(* Re-export of {!Topk_cache.Consistency}, where the consistency
+   vocabulary is defined (below the service layer in the dependency
+   order, so the cache's staleness rule, the replication router and
+   the client share the single type).  It is kept only for the
+   perfbench harness, which names [Topk_service.Consistency]; the
+   benchmark change of ROADMAP item 1 deletes it.  Everything else
+   names [Topk_cache.Consistency]. *)
 include Topk_cache.Consistency

@@ -626,7 +626,7 @@ let test_group_stale_refusal () =
   let e2 = I.make ~id:(n + 2) ~lo:0.0 ~hi:1.0 ~weight:2000.0 () in
   let s2 = G.write_seq (G.insert g e2) in
   Alcotest.(check bool) "settled again" true (G.settle g);
-  (match read ~consistency:(Svc.Consistency.At_least s2) q ~k:5 with
+  (match read ~consistency:(Cons.At_least s2) q ~k:5 with
   | Some r -> (
       match Svc.Response.seq_token r with
       | Some tok ->

@@ -53,16 +53,34 @@ let random_interval rng id =
 
 (* Drive structure and model through the same random trace, checking
    agreement after every batch. *)
-let run_trace ~check ~insert ~delete rng ~ops ~check_every =
+let run_trace ?pool ~check ~insert ~delete rng ~ops ~check_every =
   let model = Model.create () in
   let next_id = ref 0 in
+  let is_live id =
+    List.exists (fun (e : I.t) -> e.I.id = id) model.Model.live
+  in
+  (* With a [pool], ids come from [1, pool], so deleted ids come back
+     (often while still tombstoned) and the live set never exceeds it. *)
+  let new_id () =
+    match pool with
+    | None ->
+        incr next_id;
+        !next_id
+    | Some n ->
+        let rec draw () =
+          let id = 1 + Rng.int rng n in
+          if is_live id then draw () else id
+        in
+        draw ()
+  in
   for op = 1 to ops do
+    let n_live = List.length model.Model.live in
     let do_insert =
-      List.length model.Model.live < 10 || Rng.bernoulli rng 0.6
+      (n_live < 10 || Rng.bernoulli rng 0.6)
+      && (match pool with None -> true | Some n -> n_live < n)
     in
     if do_insert then begin
-      incr next_id;
-      let e = random_interval rng !next_id in
+      let e = random_interval rng (new_id ()) in
       Model.insert model e;
       insert e
     end
@@ -132,7 +150,7 @@ let test_dyn_pri_monitored_trace () =
 let test_dyn_max_trace () =
   let rng = Rng.create 307 in
   let s = Dyn_max.build [||] in
-  run_trace rng ~ops:600 ~check_every:40
+  run_trace rng ~pool:40 ~ops:600 ~check_every:40
     ~insert:(Dyn_max.insert s)
     ~delete:(Dyn_max.delete s)
     ~check:(fun model ->
@@ -248,46 +266,128 @@ let test_dyn_topk_delete_current_max () =
   done;
   Alcotest.(check bool) "drained something" true (!steps > 0)
 
-let test_reinsert_tombstoned_key () =
+(* One problem's three dynamic structures, for the re-insert case. *)
+module type REINSERT = sig
+  type elem
+
+  type query
+
+  module Pri : sig
+    include
+      Sigs.DYNAMIC_PRIORITIZED
+        with type P.elem = elem
+         and type P.query = query
+
+    val live : t -> int
+  end
+
+  module Max :
+    Sigs.DYNAMIC_MAX with type P.elem = elem and type P.query = query
+
+  module Topk :
+    Sigs.DYNAMIC_TOPK with type P.elem = elem and type P.query = query
+
+  val params : unit -> Topk_core.Params.t
+
+  val elems : Rng.t -> elem array
+  (** 30 elements, ids 1 to 30, weights below 1e5. *)
+
+  val revive : elem -> elem
+  (** The same id, weight 1e6, matching every query of [queries]. *)
+
+  val queries : Rng.t -> query array
+
+  val everything : query
+  (** Matches every element. *)
+end
+
+let check_reinsert (module X : REINSERT) =
+  let ids elems = List.map X.Pri.P.id elems in
   let rng = Rng.create 347 in
-  let elems = Array.init 30 (fun i -> random_interval rng (i + 1)) in
-  let pri = Dyn_pri.build elems in
-  let mx = Dyn_max.build elems in
-  let topk = Dyn_topk.build ~params:(Inst.params ()) elems in
+  let elems = X.elems rng in
+  let pri = X.Pri.build elems in
+  let mx = X.Max.build elems in
+  let topk = X.Topk.build ~params:(X.params ()) elems in
   let victim = elems.(12) in
-  List.iter
-    (fun e ->
-      Dyn_pri.delete pri e;
-      Dyn_max.delete mx e;
-      Dyn_topk.delete topk e)
-    [ victim ];
-  (* Re-insert the same id as a heavier, full-span interval: it must be
-     visible (and win) everywhere — the old tombstone may not filter
-     the fresh copy, nor may the stale copy resurrect. *)
-  let revived = I.make ~id:victim.I.id ~lo:0.0 ~hi:1.2 ~weight:1e6 () in
-  Dyn_pri.insert pri revived;
-  Dyn_max.insert mx revived;
-  Dyn_topk.insert topk revived;
-  Alcotest.(check int) "pri live restored" 30 (Dyn_pri.live pri);
-  Alcotest.(check int) "topk size restored" 30 (Dyn_topk.size topk);
+  let victim_id = X.Pri.P.id victim in
+  X.Pri.delete pri victim;
+  X.Max.delete mx victim;
+  X.Topk.delete topk victim;
+  (* Re-insert the same id as a heavier element matching every query:
+     it must be visible (and win) everywhere — the old tombstone may
+     not filter the fresh copy, nor may the stale copy resurrect. *)
+  let revived = X.revive victim in
+  X.Pri.insert pri revived;
+  X.Max.insert mx revived;
+  X.Topk.insert topk revived;
+  Alcotest.(check int) "pri live restored" 30 (X.Pri.live pri);
+  Alcotest.(check int) "topk size restored" 30 (X.Topk.size topk);
   Array.iter
     (fun q ->
-      let got = ids (Dyn_pri.query pri q ~tau:1e5) in
+      let got = ids (X.Pri.query pri q ~tau:1e5) in
       Alcotest.(check (list int)) "pri sees only the revived copy"
-        [ victim.I.id ] got;
+        [ victim_id ] got;
       Alcotest.(check (option int)) "max crowns the revived copy"
-        (Some victim.I.id)
-        (Option.map (fun (e : I.t) -> e.I.id) (Dyn_max.query mx q));
-      Alcotest.(check int) "topk crowns the revived copy" victim.I.id
-        (List.hd (ids (Dyn_topk.query topk q ~k:1))))
-    (Gen.stab_queries rng ~n:8);
-  (* The revived element's new geometry is the one indexed: the old
-     copy's span must not answer for it.  Pick a point the old interval
-     covered only if the old copy leaked (the revived one spans
-     everything, so only a duplicate would change counts). *)
-  let all = ids (Dyn_pri.query pri 0.5 ~tau:Float.neg_infinity) in
+        (Some victim_id)
+        (Option.map X.Pri.P.id (X.Max.query mx q));
+      Alcotest.(check int) "topk crowns the revived copy" victim_id
+        (List.hd (ids (X.Topk.query topk q ~k:1))))
+    (X.queries rng);
+  (* A leaked stale copy would answer under the same id. *)
+  let all = ids (X.Pri.query pri X.everything ~tau:Float.neg_infinity) in
   Alcotest.(check bool) "no duplicate ids" true
     (List.length all = List.length (List.sort_uniq Int.compare all))
+
+let test_reinsert_tombstoned_key () =
+  check_reinsert
+    (module struct
+      type elem = I.t
+
+      type query = float
+
+      module Pri = Dyn_pri
+      module Max = Dyn_max
+      module Topk = Dyn_topk
+
+      let params = Inst.params
+
+      let elems rng = Array.init 30 (fun i -> random_interval rng (i + 1))
+
+      let revive (v : I.t) = I.make ~id:v.I.id ~lo:0.0 ~hi:1.2 ~weight:1e6 ()
+
+      let queries rng = Gen.stab_queries rng ~n:8
+
+      let everything = 0.5
+    end)
+
+let test_reinsert_tombstoned_key_range () =
+  let module W = Topk_range.Wpoint in
+  check_reinsert
+    (module struct
+      type elem = W.t
+
+      type query = float * float
+
+      module Pri = Topk_range.Instances.Dyn_pri
+      module Max = Topk_range.Dyn_range_max
+      module Topk = Topk_range.Instances.Dyn_topk
+
+      let params = Topk_range.Instances.params
+
+      let elems rng =
+        Array.init 30 (fun i ->
+            W.make ~id:(i + 1) ~pos:(Rng.uniform rng)
+              ~weight:(float_of_int (i + 1) +. Rng.float rng 0.3)
+              ())
+
+      let revive (v : W.t) = W.make ~id:v.W.id ~pos:0.5 ~weight:1e6 ()
+
+      let queries rng =
+        Array.init 8 (fun _ ->
+            (Rng.float rng 0.5, 0.5 +. Rng.float rng 0.5))
+
+      let everything = (0., 1.)
+    end)
 
 let test_dyn_topk_trace () =
   let rng = Rng.create 313 in
@@ -403,6 +503,8 @@ let () =
             test_dyn_topk_delete_current_max;
           Alcotest.test_case "re-insert tombstoned key" `Quick
             test_reinsert_tombstoned_key;
+          Alcotest.test_case "re-insert tombstoned key on range" `Quick
+            test_reinsert_tombstoned_key_range;
         ] );
       ( "dyn_topk",
         [

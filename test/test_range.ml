@@ -168,11 +168,20 @@ let test_dyn_range_max_trace () =
   let rng = Rng.create 617 in
   let s = Topk_range.Dyn_range_max.build [||] in
   let model = Model.create () in
-  let next = ref 0 in
+  (* Ids come from a pool of 40, so deleted ids come back (often while
+     still tombstoned) and the live set never exceeds 40. *)
+  let pool = 40 in
+  let is_live id =
+    List.exists (fun (p : W.t) -> p.W.id = id) model.Model.live
+  in
+  let rec new_id () =
+    let id = 1 + Rng.int rng pool in
+    if is_live id then new_id () else id
+  in
   for op = 1 to 600 do
-    if List.length model.Model.live < 10 || Rng.bernoulli rng 0.6 then begin
-      incr next;
-      let p = random_point rng !next in
+    let n_live = List.length model.Model.live in
+    if (n_live < 10 || Rng.bernoulli rng 0.6) && n_live < pool then begin
+      let p = random_point rng (new_id ()) in
       Model.insert model p;
       Topk_range.Dyn_range_max.insert s p
     end

@@ -15,7 +15,7 @@ module Ship = Topk_repl.Log_ship
 module Outlog = Topk_repl.Log_ship.Outlog
 module Router = Topk_repl.Router
 module Metrics = Topk_service.Metrics
-module Consistency = Topk_service.Consistency
+module Consistency = Topk_cache.Consistency
 module Response = Topk_service.Response
 module G = Topk_repl.Group.Make (Inst.Topk_t2)
 module R = Topk_repl.Replica.Make (Inst.Topk_t2)
